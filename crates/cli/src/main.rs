@@ -26,20 +26,20 @@
 //!     side-by-side memory-traffic report (per-address-space load/store
 //!     counts, bytes moved, barriers, instructions) with deltas — the
 //!     paper's §VI-C reasons analysis — plus the per-buffer pass outcomes
-//!     with structured reasons. With `--ops` (requires `--backend
-//!     bytecode`) the report is instead the per-opcode execution profile
-//!     of the compiled bytecode: executed-op counts and charged budget
-//!     units per opcode kind and per basic block, reconciled exactly
-//!     against the launch's instruction tally.
+//!     with structured reasons. With `--ops` the report is instead the
+//!     per-opcode execution profile of the compiled bytecode: executed-op
+//!     counts and charged budget units per opcode kind and per basic
+//!     block, reconciled exactly against the launch's instruction tally.
 //!
 //! grover fuzz [--seed N] [--cases N] [--json] [--out-dir DIR]
 //!     Run a differential fuzzing campaign: generate randomized
 //!     software-cache kernels (plus deliberate must-reject variants), run
 //!     each through frontend → Grover pass → interpreter, and bit-compare
 //!     original vs transformed outputs under serial and parallel
-//!     schedules. Failures are shrunk to standalone reproducers under
-//!     `--out-dir` (default `fuzz-regressions/`). Exit 9 if any case
-//!     fails. A campaign is a pure function of `(seed, cases)`.
+//!     schedules, then both again on the bytecode engine. Failures are
+//!     shrunk to standalone reproducers under `--out-dir` (default
+//!     `fuzz-regressions/`). Exit 9 if any case fails. A campaign is a
+//!     pure function of `(seed, cases)`.
 //!
 //! grover serve [--addr HOST:PORT] [--cache-dir DIR] [--threads N] [--queue-depth N]
 //!              [--breaker-threshold N] [--breaker-cooldown-ms MS]
@@ -53,9 +53,9 @@
 //!     `--flight-capacity` spans/events are kept in an in-memory flight
 //!     ring (`GET /debug/flight`), dumped to `flight-<ts>.jsonl` in the
 //!     cache dir on panic or shutdown. `--profile-ops` attaches the
-//!     per-opcode bytecode profile to tune spans (bytecode backend
-//!     only). Runs until `POST /admin/shutdown`; shutdown flushes the
-//!     cache and the trace recorder.
+//!     per-opcode bytecode profile to tune spans. Runs until
+//!     `POST /admin/shutdown`; shutdown flushes the cache and the trace
+//!     recorder.
 //!
 //! grover predict <app-id> --model model.json [--device NAME] [--scale test|small|paper]
 //!                [--predict-threshold X] [--threads N] [--json]
@@ -93,13 +93,6 @@
 //! given file, one JSON object per line. Without the flag the no-op
 //! recorder is used and nothing is collected.
 //!
-//! `--backend interp|bytecode` (any position, default `interp`): execution
-//! backend for every kernel launch the command performs — the tree-walking
-//! interpreter or the compiled register-bytecode engine. Both are
-//! bit-identical by construction (see the differential gate); `bytecode`
-//! trades a one-off per-launch lowering for a much faster dispatch loop.
-//! Recorded in `--json` output and on telemetry spans.
-//!
 //! ## Exit codes
 //!
 //! | code | meaning                                               |
@@ -124,8 +117,8 @@ use grover_core::Grover;
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::printer::function_to_string;
 use grover_kernels::{
-    all_apps, app_by_id, extension_apps, prepare_pair, run_prepared_observed_backend, App,
-    KernelPair, Scale,
+    all_apps, app_by_id, extension_apps, prepare_pair, run_prepared_observed, App, KernelPair,
+    Scale,
 };
 use grover_obs::json::{array, Obj};
 use grover_obs::{JsonlRecorder, NoopRecorder, Recorder, Value};
@@ -133,7 +126,7 @@ use grover_predict::{
     evaluate_loo, parse_corpus, schema_hash, train_rows, CorpusRow, FeatureVector,
     Model as PredictModel, TrainConfig, Verdict,
 };
-use grover_runtime::{Backend, CountingSink, ExecPolicy, Limits};
+use grover_runtime::{CountingSink, ExecPolicy, Limits};
 use grover_tuner::{Choice, Decision, RetryPolicy, TuneError, Tuner, Workload};
 
 const EXIT_USAGE: u8 = 2;
@@ -180,27 +173,20 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    let backend = match extract_backend(&mut args) {
-        Ok(b) => b,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
     let result = match args.first().map(String::as_str) {
         Some("transform") => cmd_transform(&args[1..], &recorder),
-        Some("autotune") => cmd_autotune(&args[1..], &recorder, backend),
-        Some("profile") => cmd_profile(&args[1..], &recorder, backend),
+        Some("autotune") => cmd_autotune(&args[1..], &recorder),
+        Some("profile") => cmd_profile(&args[1..], &recorder),
         Some("classify") => cmd_classify(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..], &recorder, backend),
-        Some("serve") => cmd_serve(&args[1..], &recorder, backend),
-        Some("predict") => cmd_predict(&args[1..], &recorder, backend),
+        Some("fuzz") => cmd_fuzz(&args[1..], &recorder),
+        Some("serve") => cmd_serve(&args[1..], &recorder),
+        Some("predict") => cmd_predict(&args[1..], &recorder),
         Some("train") => cmd_train(&args[1..]),
-        Some("corpus") => cmd_corpus(&args[1..], &recorder, backend),
+        Some("corpus") => cmd_corpus(&args[1..], &recorder),
         Some("list") => cmd_list(),
         _ => {
             eprintln!(
-                "usage: grover <transform|autotune|profile|classify|fuzz|serve|predict|train|corpus|list> [--trace-out FILE] [--backend interp|bytecode] ..."
+                "usage: grover <transform|autotune|profile|classify|fuzz|serve|predict|train|corpus|list> [--trace-out FILE] ..."
             );
             eprintln!("  grover transform <kernel.cl> [-D NAME=VAL ...] [--kernel NAME] [--keep-barriers] [--passes SEQ]");
             eprintln!(
@@ -243,21 +229,6 @@ fn extract_trace_out(args: &mut Vec<String>) -> Result<Option<String>, String> {
         return Ok(Some(path));
     }
     Ok(None)
-}
-
-/// Strip the global `--backend <name>` flag (any position) from `args`;
-/// defaults to the interpreter.
-fn extract_backend(args: &mut Vec<String>) -> Result<Backend, String> {
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        if i + 1 >= args.len() {
-            return Err("--backend needs `interp` or `bytecode`".into());
-        }
-        let name = args.remove(i + 1);
-        args.remove(i);
-        return Backend::parse(&name)
-            .ok_or_else(|| format!("unknown backend `{name}` (expected `interp` or `bytecode`)"));
-    }
-    Ok(Backend::Interp)
 }
 
 fn cmd_transform(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
@@ -383,11 +354,7 @@ fn suite_apps() -> Vec<App> {
     apps
 }
 
-fn cmd_autotune(
-    args: &[String],
-    recorder: &Arc<dyn Recorder>,
-    backend: Backend,
-) -> Result<(), Failure> {
+fn cmd_autotune(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
     let mut app_id = None;
     let mut device = "SNB".to_string();
     let mut scale = Scale::Small;
@@ -485,7 +452,6 @@ fn cmd_autotune(
     });
 
     let mut tuner = Tuner::with_policy(policy);
-    tuner.backend = backend;
     tuner.recorder = recorder.clone();
     tuner.limits = Limits {
         deadline,
@@ -515,7 +481,7 @@ fn cmd_autotune(
         .map_err(tune_failure)?;
 
     if json {
-        println!("{}", decision_json(&app_id, scale, backend, &d));
+        println!("{}", decision_json(&app_id, scale, &d));
     } else {
         print_decision(&d);
     }
@@ -579,11 +545,7 @@ fn print_decision(d: &Decision) {
 /// report the side-by-side deltas — what the transform eliminated (local
 /// traffic, barriers) and what it added (direct global loads), the
 /// paper's §VI-C reasons analysis — plus the pass's per-buffer outcomes.
-fn cmd_profile(
-    args: &[String],
-    recorder: &Arc<dyn Recorder>,
-    backend: Backend,
-) -> Result<(), Failure> {
+fn cmd_profile(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
     let mut app_id = None;
     let mut scale = Scale::Small;
     let mut policy = ExecPolicy::Serial;
@@ -623,11 +585,6 @@ fn cmd_profile(
     })?;
     let pair = prepare_pair(&app, scale).map_err(|e| Failure::new(EXIT_COMPILE, e))?;
     if ops {
-        if backend != Backend::Bytecode {
-            return Err(Failure::usage(
-                "--ops profiles the compiled bytecode; pass `--backend bytecode`",
-            ));
-        }
         return cmd_profile_ops(&app_id, &app, scale, policy, json, &pair);
     }
 
@@ -639,16 +596,8 @@ fn cmd_profile(
     }
     let run = |kernel, version: &str| -> Result<CountingSink, Failure> {
         let mut sink = CountingSink::default();
-        run_prepared_observed_backend(
-            kernel,
-            (app.prepare)(scale),
-            &mut sink,
-            policy,
-            backend,
-            rec,
-            span,
-        )
-        .map_err(|e| Failure::new(EXIT_EXEC, format!("{version} kernel: {e}")))?;
+        run_prepared_observed(kernel, (app.prepare)(scale), &mut sink, policy, rec, span)
+            .map_err(|e| Failure::new(EXIT_EXEC, format!("{version} kernel: {e}")))?;
         Ok(sink)
     };
     let original = run(&pair.original, "original");
@@ -665,7 +614,7 @@ fn cmd_profile(
     if json {
         println!(
             "{}",
-            profile_json(&app_id, scale, backend, &pair, &original, &transformed)
+            profile_json(&app_id, scale, &pair, &original, &transformed)
         );
     } else {
         print_profile(&app_id, scale, policy, &pair, &original, &transformed);
@@ -673,8 +622,8 @@ fn cmd_profile(
     Ok(())
 }
 
-/// The `--ops` arm of `grover profile`: run both kernel versions on the
-/// bytecode backend with the per-opcode profiler enabled and print the
+/// The `--ops` arm of `grover profile`: run both kernel versions with the
+/// per-opcode bytecode profiler enabled and print the
 /// executed-op counts and charge units per opcode kind and per basic
 /// block. Each version's `total_charged` is checked against the launch's
 /// `LaunchStats::instructions` — a mismatch is an internal error, so the
@@ -697,15 +646,8 @@ fn cmd_profile_ops(
             &mut grover_runtime::NullSink,
             &Limits::default(),
             policy,
-            Backend::Bytecode,
         )
         .map_err(|e| Failure::new(EXIT_EXEC, format!("{version} kernel: {e}")))?;
-        let profile = profile.ok_or_else(|| {
-            Failure::new(
-                1,
-                format!("{version} kernel: bytecode launch produced no profile"),
-            )
-        })?;
         if profile.total_charged != stats.instructions {
             return Err(Failure::new(
                 1,
@@ -726,7 +668,6 @@ fn cmd_profile_ops(
             Obj::new()
                 .str("app", app_id)
                 .str("scale", scale_name(scale))
-                .str("backend", "bytecode")
                 .str("kernel", &pair.original.name)
                 .str("pass_fingerprint", &grover_core::pass_fingerprint())
                 .raw("original", &op_profile_json(o_insts, &o))
@@ -737,7 +678,7 @@ fn cmd_profile_ops(
     }
 
     println!(
-        "profile {app_id} --ops (scale {}, {} work-group schedule, bytecode backend)",
+        "profile {app_id} --ops (scale {}, {} work-group schedule)",
         scale_name(scale),
         match policy {
             ExecPolicy::Serial => "serial".to_string(),
@@ -979,7 +920,6 @@ fn counts_json(c: &CountingSink) -> String {
 fn profile_json(
     app_id: &str,
     scale: Scale,
-    backend: Backend,
     pair: &KernelPair,
     o: &CountingSink,
     t: &CountingSink,
@@ -1030,7 +970,6 @@ fn profile_json(
     Obj::new()
         .str("app", app_id)
         .str("scale", scale_name(scale))
-        .str("backend", backend.name())
         .str("kernel", &pair.original.name)
         .str("pass_fingerprint", &grover_core::pass_fingerprint())
         // `prepare_pair` applies the default pipeline; record it so the
@@ -1055,7 +994,7 @@ fn scale_name(scale: Scale) -> &'static str {
     }
 }
 
-fn decision_json(app_id: &str, scale: Scale, backend: Backend, d: &Decision) -> String {
+fn decision_json(app_id: &str, scale: Scale, d: &Decision) -> String {
     let fallback = match &d.fallback {
         None => "null".to_string(),
         Some(reason) => Obj::new()
@@ -1067,7 +1006,6 @@ fn decision_json(app_id: &str, scale: Scale, backend: Backend, d: &Decision) -> 
         .str("app", app_id)
         .str("device", &d.device)
         .str("scale", scale_name(scale))
-        .str("backend", backend.name())
         .str("pass_fingerprint", &grover_core::pass_fingerprint())
         .u64("cycles_with", d.cycles_with)
         .u64("cycles_without", d.cycles_without)
@@ -1134,11 +1072,7 @@ fn cmd_classify(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_fuzz(
-    args: &[String],
-    recorder: &Arc<dyn Recorder>,
-    backend: Backend,
-) -> Result<(), Failure> {
+fn cmd_fuzz(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
     let mut seed = 42u64;
     let mut cases = 200u64;
     let mut json = false;
@@ -1162,7 +1096,6 @@ fn cmd_fuzz(
         seed,
         cases,
         out_dir: Some(out_dir.clone().into()),
-        backend,
     };
     let summary = grover_fuzz::run_campaign(&opts, recorder.as_ref());
     if json {
@@ -1188,11 +1121,7 @@ fn cmd_fuzz(
 /// model. Runs the tuner in predict-first mode — a confident prediction
 /// is served with zero launches; an abstention falls back to the
 /// measured race and the decision reports whether the model agreed.
-fn cmd_predict(
-    args: &[String],
-    recorder: &Arc<dyn Recorder>,
-    backend: Backend,
-) -> Result<(), Failure> {
+fn cmd_predict(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
     let mut app_id = None;
     let mut device = "SNB".to_string();
     let mut scale = Scale::Small;
@@ -1244,7 +1173,6 @@ fn cmd_predict(
     });
 
     let mut tuner = Tuner::with_policy(policy);
-    tuner.backend = backend;
     tuner.recorder = recorder.clone();
     tuner.predictor = Some(Arc::new(model));
     tuner.predict_first = true;
@@ -1256,7 +1184,7 @@ fn cmd_predict(
         .map_err(tune_failure)?;
 
     if json {
-        println!("{}", decision_json(&app_id, scale, backend, &d));
+        println!("{}", decision_json(&app_id, scale, &d));
     } else {
         if d.predicted.is_none() {
             println!(
@@ -1369,11 +1297,7 @@ fn cmd_train(args: &[String]) -> Result<(), Failure> {
 
 /// `grover corpus export`: dump the JSONL training table — from a serve
 /// journal (`--cache-dir`) or by racing the bundled suite on the spot.
-fn cmd_corpus(
-    args: &[String],
-    recorder: &Arc<dyn Recorder>,
-    backend: Backend,
-) -> Result<(), Failure> {
+fn cmd_corpus(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
     let Some(("export", rest)) = args.split_first().map(|(a, r)| (a.as_str(), r)) else {
         return Err(Failure::usage(
             "usage: grover corpus export [--out FILE] ...",
@@ -1437,7 +1361,6 @@ fn cmd_corpus(
         Some(dir) => export_journal_corpus(&dir, &epoch)?,
         None => export_suite_corpus(
             recorder,
-            backend,
             scale,
             policy,
             verify,
@@ -1509,10 +1432,8 @@ fn export_journal_corpus(dir: &str, epoch: &str) -> Result<Vec<String>, Failure>
 /// Suite mode: race every requested app × device pair and join the
 /// measured decision with the original kernel's static features — the
 /// fixture generator for the predict tests.
-#[allow(clippy::too_many_arguments)]
 fn export_suite_corpus(
     recorder: &Arc<dyn Recorder>,
-    backend: Backend,
     scale: Scale,
     policy: ExecPolicy,
     verify: bool,
@@ -1550,7 +1471,6 @@ fn export_suite_corpus(
                 (p.ctx, p.args, p.nd)
             });
             let mut tuner = Tuner::with_policy(policy);
-            tuner.backend = backend;
             tuner.recorder = recorder.clone();
             tuner.verify_outputs = verify;
             let d = tuner
@@ -1576,14 +1496,9 @@ fn export_suite_corpus(
 
 /// `grover serve`: run the tuning-cache service until a graceful
 /// shutdown is requested over HTTP.
-fn cmd_serve(
-    args: &[String],
-    recorder: &Arc<dyn Recorder>,
-    backend: Backend,
-) -> Result<(), Failure> {
+fn cmd_serve(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
     let mut config = grover_serve::ServeConfig {
         addr: "127.0.0.1:7171".to_string(),
-        backend,
         ..grover_serve::ServeConfig::default()
     };
     let mut it = args.iter();

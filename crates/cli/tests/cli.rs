@@ -525,101 +525,20 @@ fn fuzz_streams_campaign_telemetry() {
 }
 
 #[test]
-fn backend_flag_is_global_and_validated() {
-    // Unknown backend value is a usage error, wherever the flag sits.
-    assert_eq!(exit_code(&["--backend", "jit", "list"]), 2);
-    assert_eq!(exit_code(&["profile", "NVD-MT", "--backend"]), 2);
-}
-
-#[test]
-fn autotune_json_records_backend() {
-    let run = |backend: &str| {
-        let out = Command::new(BIN)
-            .args([
-                "autotune",
-                "NVD-MT",
-                "--device",
-                "SNB",
-                "--scale",
-                "test",
-                "--json",
-                "--backend",
-                backend,
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).trim().to_string()
-    };
-    let interp = run("interp");
-    let bytecode = run("bytecode");
-    assert!(interp.contains("\"backend\":\"interp\""), "{interp}");
-    assert!(bytecode.contains("\"backend\":\"bytecode\""), "{bytecode}");
-    // The backends must reach the same decision on the same measurements.
-    assert_eq!(
-        interp.replace("\"backend\":\"interp\"", ""),
-        bytecode.replace("\"backend\":\"bytecode\"", "")
-    );
-}
-
-#[test]
-fn profile_json_identical_across_backends() {
-    let run = |backend: &str| {
-        let out = Command::new(BIN)
-            .args([
-                "--backend",
-                backend,
-                "profile",
-                "NVD-MT",
-                "--scale",
-                "test",
-                "--json",
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).trim().to_string()
-    };
-    let interp = run("interp");
-    let bytecode = run("bytecode");
-    assert!(bytecode.contains("\"backend\":\"bytecode\""), "{bytecode}");
-    // Same kernels, same workload: every traffic counter must agree.
-    assert_eq!(
-        interp.replace("\"backend\":\"interp\"", ""),
-        bytecode.replace("\"backend\":\"bytecode\"", "")
-    );
-}
-
-#[test]
-fn fuzz_campaign_runs_on_bytecode_backend() {
+fn profile_ops_needs_no_engine_flag() {
+    // Bytecode is the only production engine: `--ops` profiles it
+    // directly, and the retired `--backend` flag is a usage error.
     let out = Command::new(BIN)
-        .args([
-            "fuzz",
-            "--seed",
-            "11",
-            "--cases",
-            "15",
-            "--json",
-            "--backend",
-            "bytecode",
-        ])
+        .args(["profile", "NVD-MT", "--scale", "test", "--ops", "--json"])
         .output()
         .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
+    assert!(
+        out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"backend\":\"bytecode\""), "{stdout}");
-    assert!(stdout.contains("\"failures\":0"), "{stdout}");
+    assert!(stdout.contains("\"total_charged\""), "{stdout}");
+    assert!(!stdout.contains("\"backend\""), "{stdout}");
+    assert_eq!(exit_code(&["--backend", "bytecode", "list"]), 2);
 }

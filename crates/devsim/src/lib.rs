@@ -67,6 +67,13 @@ pub struct PerfReport {
     pub transactions: u64,
 }
 
+/// Whether `name` is one of the six modelled devices. Validates a device
+/// name without building a model, which [`Device::by_name`] does (a MIC
+/// model allocates about 130k cache sets).
+pub fn is_device(name: &str) -> bool {
+    ALL_DEVICES.contains(&name)
+}
+
 /// Any simulated device.
 pub enum Device {
     /// A cache-only processor (scalar runtime model).
@@ -141,6 +148,14 @@ mod tests {
         assert!(Device::by_name("TPU").is_none());
         assert!(Device::by_name("SNB").unwrap().is_cpu());
         assert!(!Device::by_name("Fermi").unwrap().is_cpu());
+    }
+
+    #[test]
+    fn name_check_agrees_with_model_lookup() {
+        for n in ALL_DEVICES.into_iter().chain(["TPU"]) {
+            assert_eq!(is_device(n), Device::by_name(n).is_some(), "{n}");
+        }
+        assert!(!is_device("TPU"));
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::spec::{KernelSpec, ALL_POISONS};
 use grover_core::Sequence;
 use grover_obs::json::{array, Obj};
 use grover_obs::{Recorder, SpanGuard};
-use grover_runtime::Backend;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -25,8 +24,6 @@ pub struct CampaignOptions {
     pub cases: u64,
     /// Where shrunk reproducers are written; `None` disables writing.
     pub out_dir: Option<PathBuf>,
-    /// Execution backend the oracle runs kernels on.
-    pub backend: Backend,
 }
 
 /// One failed case, after shrinking.
@@ -49,8 +46,6 @@ pub struct CaseFailure {
 pub struct Summary {
     pub seed: u64,
     pub cases: u64,
-    /// Execution backend the campaign ran on.
-    pub backend: Backend,
     /// Must-transform cases that verified bit-exactly.
     pub transformed: u64,
     /// Must-reject cases refused with the expected outcome.
@@ -88,7 +83,6 @@ impl Summary {
         Obj::new()
             .u64("seed", self.seed)
             .u64("cases", self.cases)
-            .str("backend", self.backend.name())
             .u64("transformed", self.transformed)
             .u64("rejected", self.rejected)
             .u64("failures", self.failures.len() as u64)
@@ -116,10 +110,9 @@ impl Summary {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "fuzz: seed {} ({}) — {} cases: {} transformed, {} rejected, {} failed \
+            "fuzz: seed {} — {} cases: {} transformed, {} rejected, {} failed \
              ({} sequence legs)",
             self.seed,
-            self.backend,
             self.cases,
             self.transformed,
             self.rejected,
@@ -161,12 +154,10 @@ pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
     let root = SpanGuard::open(rec, "fuzz.campaign", None);
     root.attr("seed", opts.seed);
     root.attr("cases", opts.cases);
-    root.attr("backend", opts.backend.name());
     let mut g = Gen::new(opts.seed);
     let mut summary = Summary {
         seed: opts.seed,
         cases: opts.cases,
-        backend: opts.backend,
         ..Summary::default()
     };
     for i in 0..opts.cases {
@@ -193,7 +184,7 @@ pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
                 .join(";")
                 .as_str(),
         );
-        let outcome = check_spec_seqs(&spec, opts.backend, &seqs);
+        let outcome = check_spec_seqs(&spec, &seqs);
         match outcome.failure() {
             None => {
                 if spec.poison.is_none() {
@@ -209,12 +200,9 @@ pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
                 // re-derive the detail from the minimized spec.
                 let kind = f.kind;
                 let (min, steps) = shrink(&spec, |s| {
-                    check_spec_seqs(s, opts.backend, &seqs)
-                        .failure()
-                        .map(|f| f.kind)
-                        == Some(kind)
+                    check_spec_seqs(s, &seqs).failure().map(|f| f.kind) == Some(kind)
                 });
-                let detail = check_spec_seqs(&min, opts.backend, &seqs)
+                let detail = check_spec_seqs(&min, &seqs)
                     .failure()
                     .map(|f| f.detail.clone())
                     .unwrap_or_else(|| f.detail.clone());
@@ -262,7 +250,6 @@ mod tests {
             seed: 7,
             cases: 20,
             out_dir: None,
-            backend: Backend::Interp,
         };
         let a = run_campaign(&opts, &NOOP);
         assert!(a.ok(), "{}", a.to_text());
@@ -275,22 +262,6 @@ mod tests {
         );
         let b = run_campaign(&opts, &NOOP);
         assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn small_campaign_is_clean_on_bytecode() {
-        // Same cases as the interp campaign, judged three-way on the
-        // bytecode backend — and the counters must agree exactly.
-        let opts = CampaignOptions {
-            seed: 7,
-            cases: 20,
-            out_dir: None,
-            backend: Backend::Bytecode,
-        };
-        let s = run_campaign(&opts, &NOOP);
-        assert!(s.ok(), "{}", s.to_text());
-        assert_eq!((s.transformed, s.rejected), (16, 4));
-        assert!(s.to_json().contains("\"backend\":\"bytecode\""));
     }
 
     #[test]
@@ -310,7 +281,6 @@ mod tests {
             seed: 3,
             cases: 5,
             out_dir: None,
-            backend: Backend::Interp,
         };
         run_campaign(&opts, &rec);
         let snap = rec.snapshot();
@@ -334,7 +304,6 @@ mod tests {
                 seed: 1,
                 cases: 5,
                 out_dir: None,
-                backend: Backend::Interp,
             },
             &NOOP,
         );
@@ -342,7 +311,6 @@ mod tests {
         for key in [
             "\"seed\":1",
             "\"cases\":5",
-            "\"backend\":\"interp\"",
             "\"failures\":0",
             "\"mismatches\":0",
             "\"sequences_raced\":",

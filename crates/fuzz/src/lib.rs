@@ -12,7 +12,8 @@
 //!    "poison" variants the pass must refuse.
 //! 2. [`oracle`] runs each kernel through frontend → pass → interpreter
 //!    and bit-compares original vs transformed outputs across serial and
-//!    parallel work-group schedules; must-reject kernels are checked for
+//!    parallel work-group schedules, then re-runs both on the bytecode
+//!    engine against the same bits; must-reject kernels are checked for
 //!    the exact [`BufferOutcome`](grover_core::BufferOutcome) kind and
 //!    reason, and for untouched IR.
 //! 3. [`shrink`] minimizes failing specs; [`campaign`] orchestrates a
@@ -35,14 +36,10 @@ pub mod spec;
 
 pub use campaign::{run_campaign, CampaignOptions, CaseFailure, Summary};
 pub use gen::Gen;
-pub use grover_runtime::Backend;
 pub use oracle::{
-    check_source, check_source_backend, check_source_seqs, check_spec, check_spec_backend,
-    check_spec_seqs, random_sequence, CaseOutcome, Expectation, Failure, FailureKind,
+    check_source, check_source_seqs, check_spec, check_spec_seqs, random_sequence, CaseOutcome,
+    Expectation, Failure, FailureKind,
 };
-pub use replay::{
-    parse_directives, replay_dir, replay_dir_backend, replay_source, replay_source_backend,
-    Directives,
-};
+pub use replay::{parse_directives, replay_dir, replay_source, Directives};
 pub use shrink::shrink;
 pub use spec::{BufSpec, ExecShape, KernelSpec, Poison, ReadMap, ALL_POISONS};

@@ -2,9 +2,11 @@
 //!
 //! For a must-transform kernel: run the Grover pass, demand every local
 //! buffer is removed, then execute the original and the transformed kernel
-//! under both the serial and the parallel work-group schedule and compare
-//! the output buffers *bit for bit* (f32 bit patterns, not approximate
-//! equality — the rewrite replaces loads, it must not perturb arithmetic).
+//! on the reference interpreter under both the serial and the parallel
+//! work-group schedule and compare the output buffers *bit for bit* (f32
+//! bit patterns, not approximate equality — the rewrite replaces loads, it
+//! must not perturb arithmetic). Both kernels then run once more on the
+//! production bytecode engine, which must reproduce the interpreter's bits.
 //!
 //! For a must-reject kernel: run the pass, demand the named buffer survives
 //! with the expected [`BufferOutcome`] kind and reason, and demand the IR is
@@ -143,15 +145,6 @@ pub fn run_kernel(
     kernel: &Function,
     shape: &ExecShape,
     policy: ExecPolicy,
-) -> Result<Vec<f32>, String> {
-    run_kernel_backend(kernel, shape, policy, Backend::Interp)
-}
-
-/// [`run_kernel`] on an explicit execution backend.
-pub fn run_kernel_backend(
-    kernel: &Function,
-    shape: &ExecShape,
-    policy: ExecPolicy,
     backend: Backend,
 ) -> Result<Vec<f32>, String> {
     let mut ctx = Context::new();
@@ -183,27 +176,15 @@ fn first_bit_diff(a: &[f32], b: &[f32]) -> Option<usize> {
 }
 
 /// Run one kernel source through the full pipeline and judge it against
-/// `expect`. `shape` is required for `Expectation::Transform`.
+/// `expect`. `shape` is required for `Expectation::Transform`. A transform
+/// case is a three-way check: original-interp vs transformed-interp (both
+/// schedules) vs both kernels on the bytecode engine, all bit-exact.
+/// Reject cases are never executed.
 pub fn check_source(src: &str, expect: &Expectation, shape: Option<&ExecShape>) -> CaseOutcome {
-    check_source_backend(src, expect, shape, Backend::Interp)
+    check_source_seqs(src, expect, shape, &[])
 }
 
-/// [`check_source`] with an execution backend. Under [`Backend::Interp`]
-/// this is the classic two-way differential (original vs transformed, both
-/// schedules). Under [`Backend::Bytecode`] it becomes a three-way check:
-/// original-interp vs transformed-interp vs both kernels re-executed on the
-/// bytecode backend, all bit-exact. Reject cases are backend-independent
-/// (never executed).
-pub fn check_source_backend(
-    src: &str,
-    expect: &Expectation,
-    shape: Option<&ExecShape>,
-    backend: Backend,
-) -> CaseOutcome {
-    check_source_seqs(src, expect, shape, backend, &[])
-}
-
-/// [`check_source_backend`] plus extra *sequence legs*: each sequence in
+/// [`check_source`] plus extra *sequence legs*: each sequence in
 /// `seqs` is applied to a fresh copy of the original kernel and must agree
 /// bit-exactly with the interpreter baseline under both schedules
 /// (transform cases) or leave the IR byte-identical (reject cases — every
@@ -212,7 +193,6 @@ pub fn check_source_seqs(
     src: &str,
     expect: &Expectation,
     shape: Option<&ExecShape>,
-    backend: Backend,
     seqs: &[Sequence],
 ) -> CaseOutcome {
     let module = match compile(src, &BuildOptions::new()) {
@@ -299,7 +279,7 @@ pub fn check_source_seqs(
             let policies = [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 2 }];
             let mut reference: Option<Vec<f32>> = None;
             for policy in policies {
-                let orig = match run_kernel(original, shape, policy) {
+                let orig = match run_kernel(original, shape, policy, Backend::Interp) {
                     Ok(v) => v,
                     Err(e) => {
                         return fail(
@@ -308,7 +288,7 @@ pub fn check_source_seqs(
                         )
                     }
                 };
-                let trans = match run_kernel(&transformed, shape, policy) {
+                let trans = match run_kernel(&transformed, shape, policy, Backend::Interp) {
                     Ok(v) => v,
                     Err(e) => {
                         return fail(
@@ -340,35 +320,29 @@ pub fn check_source_seqs(
                     }
                 }
             }
-            // Third leg: re-execute both kernels on the requested backend
-            // and demand bit-identity with the interpreter reference.
-            if backend != Backend::Interp {
-                let reference = reference.as_deref().expect("policies is non-empty");
-                for (which, kernel) in [("original", original), ("transformed", &transformed)] {
-                    let alt = match run_kernel_backend(kernel, shape, ExecPolicy::Serial, backend) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            return fail(
-                                FailureKind::ExecError,
-                                format!("{which} ({backend}): {e}"),
-                            )
-                        }
-                    };
-                    if let Some(i) = first_bit_diff(reference, &alt) {
-                        return fail(
-                            FailureKind::Mismatch,
-                            format!(
-                                "backends differ: {which} interp vs {backend} at [{i}]: {} vs {}",
-                                reference.get(i).copied().unwrap_or(f32::NAN),
-                                alt.get(i).copied().unwrap_or(f32::NAN),
-                            ),
-                        );
+            // Third leg: re-execute both kernels on the production bytecode
+            // engine and demand bit-identity with the interpreter reference.
+            let reference = reference.expect("policies is non-empty");
+            for (which, kernel) in [("original", original), ("transformed", &transformed)] {
+                let alt = match run_kernel(kernel, shape, ExecPolicy::Serial, Backend::Bytecode) {
+                    Ok(v) => v,
+                    Err(e) => {
+                        return fail(FailureKind::ExecError, format!("{which} (bytecode): {e}"))
                     }
+                };
+                if let Some(i) = first_bit_diff(&reference, &alt) {
+                    return fail(
+                        FailureKind::Mismatch,
+                        format!(
+                            "engines differ: {which} interp vs bytecode at [{i}]: {} vs {}",
+                            reference.get(i).copied().unwrap_or(f32::NAN),
+                            alt.get(i).copied().unwrap_or(f32::NAN),
+                        ),
+                    );
                 }
             }
             // Sequence legs: every drawn legal sequence must compute the
             // interpreter baseline bit-exactly under both schedules.
-            let reference = reference.expect("policies is non-empty");
             for seq in seqs {
                 let mut seq_kernel = original.clone();
                 let pr = apply_sequence(&mut seq_kernel, seq, &GroverOptions::default());
@@ -379,7 +353,7 @@ pub fn check_source_seqs(
                     );
                 }
                 for policy in policies {
-                    let out = match run_kernel(&seq_kernel, shape, policy) {
+                    let out = match run_kernel(&seq_kernel, shape, policy, Backend::Interp) {
                         Ok(v) => v,
                         Err(e) => {
                             return fail(
@@ -419,25 +393,13 @@ pub fn expectation_of(spec: &KernelSpec) -> Expectation {
 
 /// Render and judge a spec.
 pub fn check_spec(spec: &KernelSpec) -> CaseOutcome {
-    check_spec_backend(spec, Backend::Interp)
+    check_spec_seqs(spec, &[])
 }
 
-/// Render and judge a spec on an explicit execution backend.
-pub fn check_spec_backend(spec: &KernelSpec, backend: Backend) -> CaseOutcome {
-    check_spec_seqs(spec, backend, &[])
-}
-
-/// [`check_spec_backend`] with extra sequence legs (see
-/// [`check_source_seqs`]).
-pub fn check_spec_seqs(spec: &KernelSpec, backend: Backend, seqs: &[Sequence]) -> CaseOutcome {
+/// [`check_spec`] with extra sequence legs (see [`check_source_seqs`]).
+pub fn check_spec_seqs(spec: &KernelSpec, seqs: &[Sequence]) -> CaseOutcome {
     let shape = spec.exec_shape();
-    check_source_seqs(
-        &spec.render(),
-        &expectation_of(spec),
-        Some(&shape),
-        backend,
-        seqs,
-    )
+    check_source_seqs(&spec.render(), &expectation_of(spec), Some(&shape), seqs)
 }
 
 #[cfg(test)]
@@ -570,7 +532,7 @@ mod tests {
         .iter()
         .map(|s| grover_core::Sequence::parse(s).unwrap())
         .collect();
-        let out = check_spec_seqs(&spec, Backend::Interp, &seqs);
+        let out = check_spec_seqs(&spec, &seqs);
         assert!(matches!(out, CaseOutcome::Transformed), "{out:?}");
     }
 
@@ -578,7 +540,7 @@ mod tests {
     fn sequence_legs_leave_rejected_kernels_untouched() {
         let spec = KernelSpec::random(&mut Gen::new(5), Some(ALL_POISONS[0]));
         let seqs = vec![grover_core::Sequence::tuned_pipeline()];
-        let out = check_spec_seqs(&spec, Backend::Interp, &seqs);
+        let out = check_spec_seqs(&spec, &seqs);
         assert!(matches!(out, CaseOutcome::Rejected), "{out:?}");
     }
 

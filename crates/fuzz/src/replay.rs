@@ -22,7 +22,6 @@
 use crate::oracle::{check_source_seqs, CaseOutcome, Expectation};
 use crate::spec::ExecShape;
 use grover_core::Sequence;
-use grover_runtime::Backend;
 use std::path::Path;
 
 /// Parsed `// fuzz:` header.
@@ -133,13 +132,8 @@ pub fn parse_directives(src: &str) -> Result<Directives, String> {
 
 /// Replay one corpus kernel source. `Err` carries the failure description.
 pub fn replay_source(src: &str) -> Result<(), String> {
-    replay_source_backend(src, Backend::Interp)
-}
-
-/// [`replay_source`] judging on an explicit execution backend.
-pub fn replay_source_backend(src: &str, backend: Backend) -> Result<(), String> {
     let d = parse_directives(src)?;
-    match check_source_seqs(src, &d.expect, d.shape.as_ref(), backend, &d.sequences) {
+    match check_source_seqs(src, &d.expect, d.shape.as_ref(), &d.sequences) {
         CaseOutcome::Transformed | CaseOutcome::Rejected => Ok(()),
         CaseOutcome::Failed(f) => Err(format!("{}: {}", f.kind.name(), f.detail)),
     }
@@ -149,11 +143,6 @@ pub fn replay_source_backend(src: &str, backend: Backend) -> Result<(), String> 
 /// Returns one `(file name, result)` row per file; an unreadable directory
 /// yields an empty list.
 pub fn replay_dir(dir: &Path) -> Vec<(String, Result<(), String>)> {
-    replay_dir_backend(dir, Backend::Interp)
-}
-
-/// [`replay_dir`] judging on an explicit execution backend.
-pub fn replay_dir_backend(dir: &Path, backend: Backend) -> Vec<(String, Result<(), String>)> {
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .map(|rd| {
             rd.filter_map(|e| e.ok())
@@ -172,7 +161,7 @@ pub fn replay_dir_backend(dir: &Path, backend: Backend) -> Vec<(String, Result<(
                 .unwrap_or_default();
             let res = std::fs::read_to_string(&p)
                 .map_err(|e| format!("read: {e}"))
-                .and_then(|src| replay_source_backend(&src, backend));
+                .and_then(|src| replay_source(&src));
             (name, res)
         })
         .collect()

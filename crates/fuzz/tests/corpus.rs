@@ -3,9 +3,10 @@
 //! `corpus/must-reject/` holds kernels the pass must refuse, each asserting
 //! its exact `BufferOutcome` kind and reason; `corpus/regressions/` holds
 //! shrunk reproducers and conformance cases from past fuzzing. Both replay
-//! through the same oracle the campaign uses.
+//! through the same oracle the campaign uses, so every transform case is
+//! also re-executed on the bytecode engine against the interpreter's bits.
 
-use grover_fuzz::{replay_dir_backend, Backend};
+use grover_fuzz::replay_dir;
 use std::path::PathBuf;
 
 fn corpus(sub: &str) -> PathBuf {
@@ -14,8 +15,8 @@ fn corpus(sub: &str) -> PathBuf {
         .join(sub)
 }
 
-fn replay_all(sub: &str, min_files: usize, backend: Backend) {
-    let rows = replay_dir_backend(&corpus(sub), backend);
+fn replay_all(sub: &str, min_files: usize) {
+    let rows = replay_dir(&corpus(sub));
     assert!(
         rows.len() >= min_files,
         "expected at least {min_files} corpus kernels under corpus/{sub}, found {}",
@@ -27,27 +28,15 @@ fn replay_all(sub: &str, min_files: usize, backend: Backend) {
             bad.push(format!("{file}: {e}"));
         }
     }
-    assert!(
-        bad.is_empty(),
-        "corpus/{sub} failures ({backend}):\n{}",
-        bad.join("\n")
-    );
+    assert!(bad.is_empty(), "corpus/{sub} failures:\n{}", bad.join("\n"));
 }
 
 #[test]
 fn must_reject_corpus_is_refused_for_the_right_reasons() {
-    replay_all("must-reject", 5, Backend::Interp);
+    replay_all("must-reject", 5);
 }
 
 #[test]
 fn regression_corpus_replays_clean() {
-    replay_all("regressions", 2, Backend::Interp);
-}
-
-#[test]
-fn regression_corpus_replays_clean_on_bytecode() {
-    // Past failures must stay fixed on the bytecode backend too: the
-    // three-way oracle re-executes each transform case on bytecode and
-    // demands bit-identity with the interpreter.
-    replay_all("regressions", 2, Backend::Bytecode);
+    replay_all("regressions", 2);
 }

@@ -32,7 +32,6 @@ fn injected_index_offset_bug_is_caught_and_shrunk() {
         seed: 42,
         cases: 25,
         out_dir: Some(out_dir.clone()),
-        backend: grover_fuzz::Backend::Interp,
     };
     let summary = run_campaign(&opts, &NOOP);
 

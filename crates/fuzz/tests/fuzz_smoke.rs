@@ -1,7 +1,7 @@
 //! Seeded end-to-end campaign: the conformance gate that runs on every
 //! `cargo test`. A larger sweep (`--cases 500`) runs in CI via the CLI.
 
-use grover_fuzz::{run_campaign, Backend, CampaignOptions};
+use grover_fuzz::{run_campaign, CampaignOptions};
 use grover_obs::NOOP;
 
 #[test]
@@ -11,7 +11,6 @@ fn campaign_seed_42_is_clean() {
             seed: 42,
             cases: 100,
             out_dir: None,
-            backend: Backend::Interp,
         },
         &NOOP,
     );

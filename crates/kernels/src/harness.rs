@@ -6,8 +6,7 @@ use grover_frontend::compile;
 use grover_ir::Function;
 use grover_obs::{Recorder, SpanId};
 use grover_runtime::{
-    enqueue_observed_backend, enqueue_with_backend, Backend, Context, ExecPolicy, LaunchStats,
-    Limits, TraceSink,
+    enqueue_observed, enqueue_with_policy, Context, ExecPolicy, LaunchStats, Limits, TraceSink,
 };
 
 use crate::apps::{App, Expected, Prepared, Scale};
@@ -63,7 +62,7 @@ pub fn prepare_pair(app: &App, scale: Scale) -> Result<KernelPair, String> {
 
 /// Result of one run.
 pub struct AppRun {
-    /// Interpreter launch statistics.
+    /// Launch statistics.
     pub stats: LaunchStats,
     /// Maximum relative error against the reference output.
     pub max_rel_err: f32,
@@ -82,22 +81,11 @@ pub fn run_prepared(
 /// [`run_prepared`] under an explicit work-group schedule.
 pub fn run_prepared_with(
     kernel: &Function,
-    prepared: Prepared,
-    sink: &mut dyn TraceSink,
-    policy: ExecPolicy,
-) -> Result<AppRun, String> {
-    run_prepared_backend(kernel, prepared, sink, policy, Backend::Interp)
-}
-
-/// [`run_prepared_with`] on an explicit execution [`Backend`].
-pub fn run_prepared_backend(
-    kernel: &Function,
     mut prepared: Prepared,
     sink: &mut dyn TraceSink,
     policy: ExecPolicy,
-    backend: Backend,
 ) -> Result<AppRun, String> {
-    let stats = enqueue_with_backend(
+    let stats = enqueue_with_policy(
         &mut prepared.ctx,
         kernel,
         &prepared.args,
@@ -105,7 +93,6 @@ pub fn run_prepared_backend(
         sink,
         &Limits::default(),
         policy,
-        backend,
     )
     .map_err(|e| format!("execution failed: {e}"))?;
     finish_run(prepared, stats)
@@ -118,35 +105,13 @@ pub fn run_prepared_backend(
 /// exactly `run_prepared_with`.
 pub fn run_prepared_observed(
     kernel: &Function,
-    prepared: Prepared,
-    sink: &mut dyn TraceSink,
-    policy: ExecPolicy,
-    recorder: &dyn Recorder,
-    parent: Option<SpanId>,
-) -> Result<AppRun, String> {
-    run_prepared_observed_backend(
-        kernel,
-        prepared,
-        sink,
-        policy,
-        Backend::Interp,
-        recorder,
-        parent,
-    )
-}
-
-/// [`run_prepared_observed`] on an explicit execution [`Backend`]; the
-/// launch span records the backend.
-pub fn run_prepared_observed_backend(
-    kernel: &Function,
     mut prepared: Prepared,
     sink: &mut dyn TraceSink,
     policy: ExecPolicy,
-    backend: Backend,
     recorder: &dyn Recorder,
     parent: Option<SpanId>,
 ) -> Result<AppRun, String> {
-    let stats = enqueue_observed_backend(
+    let stats = enqueue_observed(
         &mut prepared.ctx,
         kernel,
         &prepared.args,
@@ -154,7 +119,6 @@ pub fn run_prepared_observed_backend(
         sink,
         &Limits::default(),
         policy,
-        backend,
         recorder,
         parent,
     )

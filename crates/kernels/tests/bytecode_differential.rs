@@ -4,7 +4,7 @@
 //! interpreter and the bytecode backend.
 
 use grover_kernels::{
-    all_apps, extension_apps, prepare_pair, run_prepared_backend, App, Expected, Prepared, Scale,
+    all_apps, extension_apps, prepare_pair, run_prepared, App, Expected, Prepared, Scale,
 };
 use grover_runtime::{Backend, CountingSink, ExecPolicy, LaunchStats};
 
@@ -59,7 +59,7 @@ fn run_one(
         policy,
         backend,
     )
-    .unwrap_or_else(|e| panic!("{} [{}/{:?}]: {e}", app.id, backend, policy));
+    .unwrap_or_else(|e| panic!("{} [{backend:?}/{policy:?}]: {e}", app.id));
     let bits = match expected {
         Expected::I32(_) => Bits::I32(ctx.read_i32(out).to_vec()),
         Expected::F32(_) => Bits::F32(ctx.read_f32(out).iter().map(|f| f.to_bits()).collect()),
@@ -143,20 +143,14 @@ fn all_apps_bit_identical_parallel() {
 
 #[test]
 fn bytecode_validates_against_reference() {
-    // Beyond matching the interpreter, the bytecode backend must satisfy
+    // Beyond matching the interpreter, the production engine must satisfy
     // the apps' own reference checks (exact for i32, tolerance for f32).
     for app in suite() {
         let pair = prepare_pair(&app, Scale::Test).unwrap_or_else(|e| panic!("{e}"));
         for kernel in [&pair.original, &pair.transformed] {
             let mut sink = grover_runtime::NullSink;
-            run_prepared_backend(
-                kernel,
-                (app.prepare)(Scale::Test),
-                &mut sink,
-                ExecPolicy::Serial,
-                Backend::Bytecode,
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", app.id));
+            run_prepared(kernel, (app.prepare)(Scale::Test), &mut sink)
+                .unwrap_or_else(|e| panic!("{}: {e}", app.id));
         }
     }
 }

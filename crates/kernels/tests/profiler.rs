@@ -2,10 +2,10 @@
 //! profiler: for every app and both kernel versions, op counts must be
 //! bit-identical across Serial and Parallel schedules, and the profile's
 //! total charge must equal the launch's instruction tally on both the
-//! bytecode backend itself and the reference interpreter.
+//! bytecode engine itself and the reference interpreter.
 
 use grover_kernels::{all_apps, extension_apps, prepare_pair, App, Scale};
-use grover_runtime::{Backend, ExecPolicy, NullSink, OpProfile};
+use grover_runtime::{Backend, ExecPolicy, Limits, NullSink, OpProfile};
 
 fn suite() -> Vec<App> {
     let mut apps = all_apps();
@@ -14,12 +14,7 @@ fn suite() -> Vec<App> {
     apps
 }
 
-fn profile_one(
-    app: &App,
-    kernel: &grover_ir::Function,
-    policy: ExecPolicy,
-    backend: Backend,
-) -> (u64, Option<OpProfile>) {
+fn profile_one(app: &App, kernel: &grover_ir::Function, policy: ExecPolicy) -> (u64, OpProfile) {
     let p = (app.prepare)(Scale::Test);
     let mut ctx = p.ctx;
     let (stats, profile) = grover_runtime::enqueue_profiled(
@@ -28,12 +23,29 @@ fn profile_one(
         &p.args,
         &p.nd,
         &mut NullSink,
-        &grover_runtime::Limits::default(),
+        &Limits::default(),
         policy,
-        backend,
     )
-    .unwrap_or_else(|e| panic!("{} [{}/{:?}]: {e}", app.id, backend, policy));
+    .unwrap_or_else(|e| panic!("{} [{:?}]: {e}", app.id, policy));
     (stats.instructions, profile)
+}
+
+/// The reference interpreter's instruction tally for the same launch.
+fn interp_instructions(app: &App, kernel: &grover_ir::Function) -> u64 {
+    let p = (app.prepare)(Scale::Test);
+    let mut ctx = p.ctx;
+    grover_runtime::enqueue_with_backend(
+        &mut ctx,
+        kernel,
+        &p.args,
+        &p.nd,
+        &mut NullSink,
+        &Limits::default(),
+        ExecPolicy::Serial,
+        Backend::Interp,
+    )
+    .unwrap_or_else(|e| panic!("{} [interp]: {e}", app.id))
+    .instructions
 }
 
 #[test]
@@ -44,18 +56,9 @@ fn profile_identical_across_schedules_and_reconciles_with_stats() {
             ("original", &pair.original),
             ("transformed", &pair.transformed),
         ] {
-            let (insts_serial, prof_serial) =
-                profile_one(&app, kernel, ExecPolicy::Serial, Backend::Bytecode);
-            let (insts_par, prof_par) = profile_one(
-                &app,
-                kernel,
-                ExecPolicy::Parallel { threads: 2 },
-                Backend::Bytecode,
-            );
-            let prof_serial =
-                prof_serial.unwrap_or_else(|| panic!("{} {which}: no serial profile", app.id));
-            let prof_par =
-                prof_par.unwrap_or_else(|| panic!("{} {which}: no parallel profile", app.id));
+            let (insts_serial, prof_serial) = profile_one(&app, kernel, ExecPolicy::Serial);
+            let (insts_par, prof_par) =
+                profile_one(&app, kernel, ExecPolicy::Parallel { threads: 2 });
 
             // Bit-identical under any schedule: merging per-worker counters
             // is plain addition, so the work-group partition cannot show.
@@ -75,16 +78,10 @@ fn profile_identical_across_schedules_and_reconciles_with_stats() {
 
             // ... and with the reference interpreter's tally, which counts
             // original IR instructions (fused ops charged twice, phis once).
-            let (insts_interp, prof_interp) =
-                profile_one(&app, kernel, ExecPolicy::Serial, Backend::Interp);
             assert_eq!(
-                prof_serial.total_charged, insts_interp,
+                prof_serial.total_charged,
+                interp_instructions(&app, kernel),
                 "{} {which}: total_charged != interpreter instruction tally",
-                app.id
-            );
-            assert!(
-                prof_interp.is_none(),
-                "{} {which}: interpreter backend must not produce a profile",
                 app.id
             );
 

@@ -5,12 +5,10 @@
 //! and the counters themselves must be schedule-independent
 //! (serial ≡ parallel).
 
-use grover_kernels::{
-    all_apps, extension_apps, prepare_pair, run_prepared_observed_backend, App, Scale,
-};
+use grover_kernels::{all_apps, extension_apps, prepare_pair, run_prepared_observed, App, Scale};
 use grover_obs::NoopRecorder;
 use grover_predict::{schema_hash, FeatureVector, FEATURE_NAMES};
-use grover_runtime::{Backend, CountingSink, ExecPolicy};
+use grover_runtime::{CountingSink, ExecPolicy};
 
 /// The full 12-app suite: the 11 Table-I applications plus EXT-CONV.
 fn suite() -> Vec<App> {
@@ -24,12 +22,11 @@ fn observe(app: &App, policy: ExecPolicy) -> CountingSink {
     let pair = prepare_pair(app, Scale::Test).expect("suite app prepares");
     let prepared = (app.prepare)(Scale::Test);
     let mut sink = CountingSink::default();
-    run_prepared_observed_backend(
+    run_prepared_observed(
         &pair.original,
         prepared,
         &mut sink,
         policy,
-        Backend::Interp,
         &NoopRecorder,
         None,
     )

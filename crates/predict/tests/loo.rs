@@ -8,7 +8,6 @@
 use grover_devsim::ALL_DEVICES;
 use grover_kernels::{all_apps, extension_apps, prepare_pair, App, Scale};
 use grover_predict::{evaluate_loo, FeatureVector, TrainConfig, TrainRow, Verdict};
-use grover_runtime::Backend;
 use grover_tuner::{Tuner, Workload};
 
 fn suite() -> Vec<App> {
@@ -17,9 +16,9 @@ fn suite() -> Vec<App> {
     apps
 }
 
-/// Measure the full suite × device grid once. Bytecode backend and no
-/// output verification: this corpus feeds the evaluator, not the safety
-/// pipeline, and the differential guard is exercised elsewhere.
+/// Measure the full suite × device grid once. No output verification:
+/// this corpus feeds the evaluator, not the safety pipeline, and the
+/// differential guard is exercised elsewhere.
 fn measured_corpus() -> Vec<TrainRow> {
     let mut rows = Vec::new();
     for app in suite() {
@@ -33,7 +32,6 @@ fn measured_corpus() -> Vec<TrainRow> {
         });
         for device in ALL_DEVICES {
             let mut tuner = Tuner::new();
-            tuner.backend = Backend::Bytecode;
             tuner.verify_outputs = false;
             let d = tuner
                 .tune(&pair.original, device, &workload)

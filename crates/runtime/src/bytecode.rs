@@ -44,42 +44,20 @@ use crate::ExecError;
 
 /// Which execution engine a launch runs on.
 ///
-/// Both backends produce bit-identical output buffers,
+/// Both engines produce bit-identical output buffers,
 /// [`LaunchStats`](crate::LaunchStats) and trace streams for verified
 /// kernels; `Bytecode` lowers the kernel once per launch and executes the
-/// lowered form in a tight dispatch loop.
+/// lowered form in a tight dispatch loop. Every entry point that names no
+/// engine runs `Bytecode`. `Interp` is reachable only through
+/// [`crate::enqueue_with_backend`]: it is the reference oracle of the
+/// differential tests, the fuzzer and the `speedup` bench.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// The tree-walking NDRange interpreter (the reference engine).
-    #[default]
+    /// The tree-walking NDRange interpreter (the reference oracle).
     Interp,
-    /// The compiled register-bytecode engine.
+    /// The compiled register-bytecode engine (the production engine).
+    #[default]
     Bytecode,
-}
-
-impl Backend {
-    /// Stable lower-case name, used in JSON output and trace spans.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Interp => "interp",
-            Backend::Bytecode => "bytecode",
-        }
-    }
-
-    /// Parse a backend name as accepted by the CLI `--backend` flag.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "interp" => Some(Backend::Interp),
-            "bytecode" => Some(Backend::Bytecode),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// One bytecode op. Operands are register indices (= IR value indices)

@@ -477,7 +477,8 @@ pub fn enqueue(
     enqueue_with_policy(ctx, kernel, args, nd, sink, limits, ExecPolicy::Serial)
 }
 
-/// Launch a kernel under an explicit scheduling [`ExecPolicy`].
+/// Launch a kernel under an explicit scheduling [`ExecPolicy`] on the
+/// production (bytecode) engine.
 ///
 /// See [`ExecPolicy`] for the determinism guarantees. On failure the error
 /// of the lowest-numbered failing group is returned (the same one the
@@ -500,17 +501,17 @@ pub fn enqueue_with_policy(
         sink,
         limits,
         policy,
-        Backend::Interp,
+        Backend::Bytecode,
         None,
         None,
     )
 }
 
 /// Launch a kernel under an explicit scheduling [`ExecPolicy`] and
-/// execution [`Backend`].
+/// execution [`Backend`] — the one way to run the reference interpreter.
 ///
-/// Both backends produce bit-identical output buffers, [`LaunchStats`] and
-/// trace streams for well-formed kernels; the bytecode backend merely
+/// Both engines produce bit-identical output buffers, [`LaunchStats`] and
+/// trace streams for well-formed kernels; the bytecode engine merely
 /// executes a pre-lowered form of the kernel in a tighter dispatch loop.
 #[allow(clippy::too_many_arguments)]
 pub fn enqueue_with_backend(
@@ -528,17 +529,13 @@ pub fn enqueue_with_backend(
     )
 }
 
-/// Launch a kernel like [`enqueue_with_backend`] while collecting a
-/// per-opcode execution profile.
+/// Launch a kernel like [`enqueue_with_policy`] while collecting a
+/// per-opcode execution profile of its bytecode.
 ///
-/// Profiling is only implemented by the bytecode backend: with
-/// [`Backend::Bytecode`] and a successful launch, the returned profile is
-/// `Some` and its `total_charged` equals the launch's
-/// [`LaunchStats::instructions`] exactly; with [`Backend::Interp`] (or on
-/// a failed launch) it is `None`. Counts are aggregated by plain addition
-/// across work-items and workers, so the profile is bit-identical under
-/// [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`].
-#[allow(clippy::too_many_arguments)]
+/// The profile's `total_charged` equals the launch's
+/// [`LaunchStats::instructions`] exactly. Counts are aggregated by plain
+/// addition across work-items and workers, so the profile is bit-identical
+/// under [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`].
 pub fn enqueue_profiled(
     ctx: &mut Context,
     kernel: &Function,
@@ -547,8 +544,7 @@ pub fn enqueue_profiled(
     sink: &mut dyn TraceSink,
     limits: &Limits,
     policy: ExecPolicy,
-    backend: Backend,
-) -> Result<(LaunchStats, Option<bytecode::OpProfile>), ExecError> {
+) -> Result<(LaunchStats, bytecode::OpProfile), ExecError> {
     let mut profile = None;
     let stats = enqueue_impl(
         ctx,
@@ -558,10 +554,11 @@ pub fn enqueue_profiled(
         sink,
         limits,
         policy,
-        backend,
+        Backend::Bytecode,
         None,
         Some(&mut profile),
     )?;
+    let profile = profile.expect("a successful bytecode launch writes its profile");
     Ok((stats, profile))
 }
 

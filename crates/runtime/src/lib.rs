@@ -57,7 +57,7 @@ pub use interp::{
     enqueue, enqueue_profiled, enqueue_with_backend, enqueue_with_policy, ArgValue, ExecPolicy,
     LaunchStats, Limits, NdRange, WorkerStat,
 };
-pub use obs::{enqueue_observed, enqueue_observed_backend, enqueue_observed_profiled};
+pub use obs::{enqueue_observed, enqueue_observed_profiled};
 pub use trace::{AccessEvent, CountingSink, NullSink, SpaceBytes, TraceOp, TraceSink, VecSink};
 pub use val::{PtrVal, Val};
 

@@ -76,49 +76,19 @@ pub fn enqueue_observed(
     recorder: &dyn Recorder,
     parent: Option<SpanId>,
 ) -> Result<LaunchStats, ExecError> {
-    enqueue_observed_backend(
-        ctx,
-        kernel,
-        args,
-        nd,
-        sink,
-        limits,
-        policy,
-        Backend::Interp,
-        recorder,
-        parent,
-    )
-}
-
-/// [`enqueue_observed`] with an explicit execution [`Backend`]; the launch
-/// span additionally records a `backend` attribute.
-#[allow(clippy::too_many_arguments)]
-pub fn enqueue_observed_backend(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-    backend: Backend,
-    recorder: &dyn Recorder,
-    parent: Option<SpanId>,
-) -> Result<LaunchStats, ExecError> {
     enqueue_observed_profiled(
-        ctx, kernel, args, nd, sink, limits, policy, backend, recorder, parent, None,
+        ctx, kernel, args, nd, sink, limits, policy, recorder, parent, None,
     )
 }
 
-/// [`enqueue_observed_backend`] with optional per-opcode profiling.
+/// [`enqueue_observed`] with optional per-opcode profiling.
 ///
-/// When `profile_out` is `Some` and the backend is [`Backend::Bytecode`],
-/// a successful launch writes its [`OpProfile`] through `profile_out` and
-/// (when the recorder is enabled) emits one `profile` event on the launch
-/// span with `total_count`/`total_charged` plus `count.<kind>` and
-/// `charged.<kind>` attributes per executed opcode kind — the `profile`
-/// section tune spans carry. With the interpreter backend, or on a failed
-/// launch, `profile_out` is left as it was.
+/// When `profile_out` is `Some`, a successful launch writes its
+/// [`OpProfile`] through `profile_out` and (when the recorder is enabled)
+/// emits one `profile` event on the launch span with
+/// `total_count`/`total_charged` plus `count.<kind>` and `charged.<kind>`
+/// attributes per executed opcode kind — the `profile` section tune spans
+/// carry. On a failed launch, `profile_out` is left as it was.
 #[allow(clippy::too_many_arguments)]
 pub fn enqueue_observed_profiled(
     ctx: &mut Context,
@@ -128,7 +98,6 @@ pub fn enqueue_observed_profiled(
     sink: &mut dyn TraceSink,
     limits: &Limits,
     policy: ExecPolicy,
-    backend: Backend,
     recorder: &dyn Recorder,
     parent: Option<SpanId>,
     profile_out: Option<&mut Option<OpProfile>>,
@@ -142,7 +111,7 @@ pub fn enqueue_observed_profiled(
             sink,
             limits,
             policy,
-            backend,
+            Backend::Bytecode,
             None,
             profile_out,
         );
@@ -156,7 +125,6 @@ pub fn enqueue_observed_profiled(
     };
     recorder.span_attr(span, "policy", Value::from(policy_name));
     recorder.span_attr(span, "workers", Value::from(workers));
-    recorder.span_attr(span, "backend", Value::from(backend.name()));
 
     let mut tee = TeeSink {
         inner: sink,
@@ -173,7 +141,7 @@ pub fn enqueue_observed_profiled(
         &mut tee,
         limits,
         policy,
-        backend,
+        Backend::Bytecode,
         Some(&mut worker_stats),
         profile_out.is_some().then_some(&mut profile),
     );

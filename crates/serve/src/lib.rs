@@ -63,7 +63,6 @@ pub use client::{
     http_request, request_full, request_with, ClientConfig, ClientError, FullResponse,
 };
 pub use flight::{FlightRecorder, FlightRing, RequestEntry, RequestLog};
-pub use grover_runtime::Backend;
 pub use metrics::Metrics;
 pub use server::{ServeConfig, Server, TRACE_HEADER};
 pub use singleflight::{FlightOutcome, Singleflight};

@@ -828,34 +828,3 @@ fn admin_shutdown_stops_the_server_and_flushes() {
     json::parse(payload).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn bytecode_backend_misses_tune_to_the_same_decision() {
-    // A server configured for the bytecode backend must serve cache misses
-    // through it and reach the exact decision an interpreter server does.
-    let interp = start(config("bcinterp"));
-    let (status, a) = post(&interp, "/v1/tune", &tune_body(STAGE, "SNB", 256, 64));
-    assert_eq!(status, 200, "{a:?}");
-
-    let bytecode = start(ServeConfig {
-        cache_dir: temp_dir("bcbytecode"),
-        backend: grover_serve::Backend::Bytecode,
-        ..ServeConfig::default()
-    });
-    let (status, b) = post(&bytecode, "/v1/tune", &tune_body(STAGE, "SNB", 256, 64));
-    assert_eq!(status, 200, "{b:?}");
-    assert_eq!(b.bool_of("cached"), Some(false));
-    assert_eq!(b.str_of("choice"), a.str_of("choice"));
-    assert_eq!(b.u64_of("cycles_with"), a.u64_of("cycles_with"));
-    assert_eq!(b.u64_of("cycles_without"), a.u64_of("cycles_without"));
-    assert_eq!(
-        bytecode.metrics().tune_races.get(),
-        1,
-        "miss raced exactly once on the bytecode backend"
-    );
-
-    std::fs::remove_dir_all(temp_dir("bcinterp")).ok();
-    std::fs::remove_dir_all(temp_dir("bcbytecode")).ok();
-    interp.shutdown();
-    bytecode.shutdown();
-}

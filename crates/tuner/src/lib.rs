@@ -55,8 +55,8 @@ use grover_ir::Function;
 use grover_obs::{NoopRecorder, Recorder, SpanId, Value};
 use grover_predict::{FeatureVector, Model as PredictModel, Prediction, Verdict};
 use grover_runtime::{
-    enqueue_observed_profiled, enqueue_with_backend, ArgValue, Backend, BufferData, Context,
-    ExecError, ExecPolicy, Limits, NdRange, NullSink,
+    enqueue_observed_profiled, enqueue_with_policy, ArgValue, BufferData, Context, ExecError,
+    ExecPolicy, Limits, NdRange, NullSink,
 };
 
 /// Which kernel version won.
@@ -231,7 +231,7 @@ pub enum TuneError {
     InvalidSequence(String),
     /// No device model of that name exists.
     UnknownDevice(String),
-    /// The interpreter failed while measuring.
+    /// The execution engine failed while measuring.
     Execution(String),
     /// A measurement of the original kernel panicked (isolated from the
     /// process and converted).
@@ -290,9 +290,6 @@ pub struct Tuner {
     pub threshold: f64,
     /// Work-group schedule used for the measurement launches.
     pub policy: ExecPolicy,
-    /// Execution backend for every launch this tuner performs (race
-    /// measurements and the differential-output guard alike).
-    pub backend: Backend,
     /// Per-measurement execution limits (instruction budget and optional
     /// wall-clock deadline, enforced by the runtime watchdog).
     pub limits: Limits,
@@ -324,8 +321,7 @@ pub struct Tuner {
     pub parent: Option<SpanId>,
     /// Attach a per-opcode execution profile to race measurements: each
     /// nested `launch` span gains a `profile` event with per-opcode-kind
-    /// count/charge attributes. Only the bytecode backend can profile, so
-    /// this has no effect under [`Backend::Interp`]. Default off.
+    /// count/charge attributes. Default off.
     pub profile_ops: bool,
     /// Predictive model consulted by [`Tuner::predict_first`] mode.
     /// `None` means every tune is measured.
@@ -369,7 +365,6 @@ impl Tuner {
         Tuner {
             threshold: 0.05,
             policy: ExecPolicy::Serial,
-            backend: Backend::Interp,
             limits: Limits::default(),
             retry: RetryPolicy::default(),
             verify_outputs: true,
@@ -459,7 +454,7 @@ impl Tuner {
             return Ok(d.clone());
         }
         // Fail fast on a bad device name before any transform work.
-        if Device::by_name(device).is_none() {
+        if !grover_devsim::is_device(device) {
             return Err(TuneError::UnknownDevice(device.to_string()));
         }
         let candidates = self.build_candidates(kernel, device)?;
@@ -607,7 +602,7 @@ impl Tuner {
         workload: &Workload,
     ) -> Result<Decision, TuneError> {
         // Fail fast on a bad device name before spending any measurement.
-        if Device::by_name(device).is_none() {
+        if !grover_devsim::is_device(device) {
             return Err(TuneError::UnknownDevice(device.to_string()));
         }
         let candidate = Candidate {
@@ -682,7 +677,6 @@ impl Tuner {
             rec.span_attr(span, "kernel", Value::from(kernel.name.as_str()));
             rec.span_attr(span, "device", Value::from(device));
             rec.span_attr(span, "policy", Value::from(policy_name(self.policy)));
-            rec.span_attr(span, "backend", Value::from(self.backend.name()));
             rec.span_attr(span, "threshold", Value::from(self.threshold));
             rec.span_attr(span, "verify_outputs", Value::from(self.verify_outputs));
             rec.span_attr(span, "candidates", Value::from(candidates.len()));
@@ -720,7 +714,6 @@ impl Tuner {
         let recorder = self.recorder.clone();
         let rec: &dyn Recorder = &*recorder;
         let policy = self.policy;
-        let backend = self.backend;
         let limits = self.limits;
         let retry = self.retry;
         let profile_ops = self.profile_ops;
@@ -741,17 +734,7 @@ impl Tuner {
                 .map(|(c, w)| {
                     let ck = &c.kernel;
                     s.spawn(move || {
-                        simulate_caught(
-                            ck,
-                            device,
-                            w,
-                            policy,
-                            backend,
-                            &limits,
-                            rec,
-                            span,
-                            profile_ops,
-                        )
+                        simulate_caught(ck, device, w, policy, &limits, rec, span, profile_ops)
                     })
                 })
                 .collect();
@@ -760,7 +743,6 @@ impl Tuner {
                 device,
                 w_with,
                 policy,
-                backend,
                 &limits,
                 rec,
                 span,
@@ -800,7 +782,6 @@ impl Tuner {
                 device,
                 workload.instantiate(),
                 policy,
-                backend,
                 &limits,
                 rec,
                 span,
@@ -826,7 +807,6 @@ impl Tuner {
                     device,
                     workload.instantiate(),
                     policy,
-                    backend,
                     &limits,
                     rec,
                     span,
@@ -893,9 +873,9 @@ impl Tuner {
         // wrong-output candidate is not trusted for this kernel.
         if fallback.is_none() && self.verify_outputs {
             self.launches += 1;
-            let reference = run_for_outputs(kernel, workload, &limits, backend).map_err(fatal)?;
+            let reference = run_for_outputs(kernel, workload, &limits).map_err(fatal)?;
             self.launches += 1;
-            match run_for_outputs(&winner.kernel, workload, &limits, backend) {
+            match run_for_outputs(&winner.kernel, workload, &limits) {
                 Err(f) => fallback = Some(reason_of(f)),
                 Ok(candidate) => {
                     if let Some((buffer, index)) = first_bit_mismatch(&reference, &candidate) {
@@ -1005,7 +985,7 @@ enum MeasureFailure {
 impl MeasureFailure {
     /// Worth retrying? Panics and deadline overruns may be environmental
     /// (scheduling jitter, injected faults with limited fires);
-    /// deterministic interpreter errors are not.
+    /// deterministic execution errors are not.
     fn transient(&self) -> bool {
         matches!(
             self,
@@ -1173,7 +1153,6 @@ fn simulate(
     device: &str,
     workload: (Context, Vec<ArgValue>, NdRange),
     policy: ExecPolicy,
-    backend: Backend,
     limits: &Limits,
     rec: &dyn Recorder,
     parent: Option<SpanId>,
@@ -1198,7 +1177,6 @@ fn simulate(
         &mut dev,
         limits,
         policy,
-        backend,
         rec,
         parent,
         profile_ops.then_some(&mut profile),
@@ -1208,7 +1186,7 @@ fn simulate(
 }
 
 /// [`simulate`] with panic isolation: a panic anywhere in the measurement
-/// (interpreter, device model, injected fault) becomes a
+/// (execution engine, device model, injected fault) becomes a
 /// [`MeasureFailure::Panicked`] instead of unwinding into the race scope.
 #[allow(clippy::too_many_arguments)]
 fn simulate_caught(
@@ -1216,7 +1194,6 @@ fn simulate_caught(
     device: &str,
     workload: (Context, Vec<ArgValue>, NdRange),
     policy: ExecPolicy,
-    backend: Backend,
     limits: &Limits,
     rec: &dyn Recorder,
     parent: Option<SpanId>,
@@ -1228,7 +1205,6 @@ fn simulate_caught(
             device,
             workload,
             policy,
-            backend,
             limits,
             rec,
             parent,
@@ -1244,11 +1220,10 @@ fn run_for_outputs(
     kernel: &Function,
     workload: &Workload,
     limits: &Limits,
-    backend: Backend,
 ) -> Result<Context, MeasureFailure> {
     let (mut ctx, args, nd) = workload.instantiate();
     let run = catch_unwind(AssertUnwindSafe(|| {
-        enqueue_with_backend(
+        enqueue_with_policy(
             &mut ctx,
             kernel,
             &args,
@@ -1256,7 +1231,6 @@ fn run_for_outputs(
             &mut NullSink,
             limits,
             ExecPolicy::Serial,
-            backend,
         )
     }));
     match run {
@@ -1353,27 +1327,6 @@ mod tests {
         assert_eq!(t.races_run(), 1);
         t.tune(&k, "SNB", &w).unwrap();
         assert_eq!(t.races_run(), 1, "cached decision must not re-measure");
-    }
-
-    #[test]
-    fn bytecode_backend_tunes_to_the_same_decision() {
-        // The device model consumes the same access trace either way, so
-        // cycle counts — and therefore the decision — must be identical,
-        // and races_run() accounting must be backend-agnostic.
-        let k = staged_kernel();
-        let mut ti = Tuner::new();
-        let di = ti.tune(&k, "SNB", &workload()).unwrap();
-        let mut tb = Tuner::new();
-        tb.backend = Backend::Bytecode;
-        let db = tb.tune(&k, "SNB", &workload()).unwrap();
-        assert_eq!(tb.races_run(), 1);
-        assert_eq!(di.choice, db.choice);
-        assert_eq!(di.np, db.np);
-        assert_eq!(
-            (di.cycles_with, di.cycles_without),
-            (db.cycles_with, db.cycles_without)
-        );
-        assert!(db.fallback.is_none(), "{:?}", db.fallback);
     }
 
     #[test]
