@@ -3,7 +3,7 @@
 //! L1/L2, a unified or distributed last level, and per-core stride
 //! prefetchers.
 
-use crate::cache::{Cache, CacheStats, Probe};
+use crate::cache::{Cache, CacheConfig, CacheStats, Probe};
 use crate::profiles::CpuProfile;
 
 /// Base of the per-core local-memory scratch regions in the simulated
@@ -22,6 +22,9 @@ pub(crate) struct StridePrefetcher {
     streams: Vec<Stream>,
     max_streams: usize,
     degree: u64,
+    /// The addresses the last [`StridePrefetcher::miss`] returned, reused
+    /// from miss to miss.
+    out: Vec<u64>,
 }
 
 #[derive(Clone, Copy)]
@@ -38,13 +41,15 @@ impl StridePrefetcher {
             streams: Vec::new(),
             max_streams,
             degree,
+            out: Vec::new(),
         }
     }
 
     /// Record an L2 miss; return prefetch addresses to install.
-    pub(crate) fn miss(&mut self, addr: u64, clock: u64) -> Vec<u64> {
+    pub(crate) fn miss(&mut self, addr: u64, clock: u64) -> &[u64] {
+        self.out.clear();
         if self.max_streams == 0 {
-            return Vec::new();
+            return &self.out;
         }
         // Find a stream whose next expected address matches.
         for st in &mut self.streams {
@@ -54,10 +59,9 @@ impl StridePrefetcher {
                 st.confirmed = true;
                 st.age = clock;
                 let stride = st.stride;
-                let degree = self.degree;
-                return (1..=degree)
-                    .map(|k| (addr as i64 + stride * k as i64) as u64)
-                    .collect();
+                self.out
+                    .extend((1..=self.degree).map(|k| (addr as i64 + stride * k as i64) as u64));
+                return &self.out;
             }
         }
         // Try to pair with the *closest* unconfirmed stream (establish the
@@ -83,7 +87,7 @@ impl StridePrefetcher {
             st.last = addr;
             st.confirmed = true;
             st.age = clock;
-            return Vec::new();
+            return &self.out;
         }
         // Allocate a new stream (evict the oldest).
         let st = Stream {
@@ -97,7 +101,7 @@ impl StridePrefetcher {
         } else if let Some(old) = self.streams.iter_mut().min_by_key(|s| s.age) {
             *old = st;
         }
-        Vec::new()
+        &self.out
     }
 }
 
@@ -120,9 +124,7 @@ impl CoreMemory {
         let l1 = (0..profile.cores).map(|_| Cache::new(profile.l1)).collect();
         let l2 = (0..profile.cores).map(|_| Cache::new(profile.l2)).collect();
         let llc = if profile.llc_distributed {
-            let mut slice = profile.llc;
-            slice.size_bytes =
-                (slice.size_bytes / profile.cores as u64).max(slice.line_bytes * slice.ways);
+            let slice = llc_slice(&profile);
             (0..profile.cores).map(|_| Cache::new(slice)).collect()
         } else {
             vec![Cache::new(profile.llc)]
@@ -168,12 +170,12 @@ impl CoreMemory {
             return p.l2.latency;
         }
         // L2 miss: consult the stream prefetcher and install predictions.
-        for pf_addr in self.prefetchers[core].miss(addr, clock) {
+        for &pf_addr in self.prefetchers[core].miss(addr, clock) {
             self.l2[core].access(pf_addr, false);
             self.prefetch_issued += 1;
         }
         let (slice, remote) = if p.llc_distributed {
-            let s = ((addr / p.llc.line_bytes) as usize) % self.llc.len();
+            let s = ((addr >> p.llc.line_bytes.trailing_zeros()) as usize) % self.llc.len();
             (s, s != core)
         } else {
             (0, false)
@@ -195,12 +197,13 @@ impl CoreMemory {
         is_write: bool,
         clock: u64,
     ) -> u64 {
-        let lb = self.profile.l1.line_bytes;
-        let first = addr / lb;
-        let last = (addr + bytes.max(1) - 1) / lb;
+        // Line sizes are powers of two (`Cache::new` checks).
+        let shift = self.profile.l1.line_bytes.trailing_zeros();
+        let first = addr >> shift;
+        let last = (addr + bytes.max(1) - 1) >> shift;
         let mut cost = 0;
         for line in first..=last {
-            cost = cost.max(self.line_cost(core, line * lb, is_write, clock));
+            cost = cost.max(self.line_cost(core, line << shift, is_write, clock));
         }
         cost
     }
@@ -219,6 +222,13 @@ impl CoreMemory {
     pub fn llc_stats(&self) -> CacheStats {
         agg(&self.llc)
     }
+}
+
+/// The geometry of one per-core slice of a distributed last level (MIC).
+pub(crate) fn llc_slice(profile: &CpuProfile) -> CacheConfig {
+    let mut slice = profile.llc;
+    slice.size_bytes = (slice.size_bytes / profile.cores as u64).max(slice.line_bytes * slice.ways);
+    slice
 }
 
 fn agg(cs: &[Cache]) -> CacheStats {

@@ -23,6 +23,7 @@
 //!   on-chip scratch-pad, so de-staging uncoalesced patterns is ruinous
 //!   there (Fig. 2's MT losses on Fermi/Kepler/Tahiti).
 
+mod accum;
 pub mod cache;
 pub mod cpu;
 pub mod cpu_simd;
@@ -41,7 +42,7 @@ pub use profiles::{candidate_sequences, CpuProfile, GpuProfile, ALL_DEVICES, CPU
 use grover_runtime::{AccessEvent, TraceSink};
 
 /// Estimated performance of one kernel launch on one device.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PerfReport {
     /// Device name the report describes.
     pub device: String,
