@@ -280,8 +280,9 @@ impl std::error::Error for TuneError {}
 /// is caught ([`TuneError::Panicked`] / [`FallbackReason::Panicked`]), each
 /// measurement runs under `limits` (instruction budget + optional
 /// wall-clock deadline), transient failures are retried per `retry`, and —
-/// with `verify_outputs` on — both versions are re-run on the workload and
-/// their output buffers bit-compared. Any failure or mismatch of the
+/// with `verify_outputs` on — the original and the race winner are re-run
+/// on the workload, at the same time on two threads, and their output
+/// buffers bit-compared. Any failure or mismatch of the
 /// *transformed* kernel demotes the decision to the original with a
 /// [`FallbackReason`], so [`Tuner::best_kernel`] can never return a broken
 /// kernel; only a failure of the *original* kernel is a [`TuneError`].
@@ -296,9 +297,10 @@ pub struct Tuner {
     /// Retry policy for transient measurement failures.
     pub retry: RetryPolicy,
     /// Run the differential-output guard after measuring (default on).
-    /// The guard re-runs both versions serially on fresh workload
-    /// instantiations, so the workload factory must be deterministic —
-    /// which meaningful tuning requires anyway.
+    /// The guard re-runs the original and the winner on fresh workload
+    /// instantiations — each launch `ExecPolicy::Serial`, the two at the
+    /// same time — so the workload factory must be deterministic, which
+    /// meaningful tuning requires anyway. Two more launches per tune.
     pub verify_outputs: bool,
     /// Restrict the Grover transform to these `__local` buffers
     /// (`None` = remove all).
@@ -309,9 +311,10 @@ pub struct Tuner {
     /// CLI's `--passes`) restricts the race to exactly those sequences.
     pub sequences: Option<Vec<String>>,
     /// Telemetry sink. Each uncached [`Tuner::tune_pair`] records one
-    /// `tune` span (both race measurements appear as nested `launch`
-    /// spans), `retry`/`measure`/`verify` events, and a final `decision`
-    /// event; cache hits record a `decision` event with `cached: true`.
+    /// `tune` span (every race measurement appears as a nested `launch`
+    /// span, each guard launch as a nested `verify` span),
+    /// `retry`/`measure`/`verify` events, and a final `decision` event;
+    /// cache hits record a `decision` event with `cached: true`.
     /// Defaults to the no-op recorder: nothing is constructed or stored.
     pub recorder: Arc<dyn Recorder>,
     /// Parent span for the `tune` spans this tuner records. A serving
@@ -866,16 +869,35 @@ impl Tuner {
         let winner = &candidates[winner_idx];
 
         // Differential-output guard: re-run the original and the winning
-        // candidate serially on fresh instantiations and bit-compare every
-        // buffer. A reference failure is fatal; a winner failure or any
-        // differing bit demotes the whole decision to the original —
-        // conservative by design: a search that produced even one
-        // wrong-output candidate is not trusted for this kernel.
+        // candidate on fresh instantiations and bit-compare every buffer.
+        // The two launches run at the same time, the winner on a scoped
+        // thread and the original here; both workloads are instantiated
+        // up front on this thread (the factory need not be `Sync`). A
+        // reference failure is fatal and wins over anything the winner
+        // did; a winner failure or any differing bit demotes the whole
+        // decision to the original — conservative by design: a search
+        // that produced even one wrong-output candidate is not trusted for
+        // this kernel.
         if fallback.is_none() && self.verify_outputs {
-            self.launches += 1;
-            let reference = run_for_outputs(kernel, workload, &limits).map_err(fatal)?;
-            self.launches += 1;
-            match run_for_outputs(&winner.kernel, workload, &limits) {
+            let w_reference = workload.instantiate();
+            let w_winner = workload.instantiate();
+            let seq = winner.sequence.as_str();
+            let (reference, candidate) = std::thread::scope(|s| {
+                let handle = s.spawn(|| {
+                    run_for_outputs(&winner.kernel, w_winner, &limits, rec, span, "winner", seq)
+                });
+                let reference =
+                    run_for_outputs(kernel, w_reference, &limits, rec, span, "original", seq);
+                // `run_for_outputs` catches panics; `join` only fails if one
+                // escapes the isolation (a bug) — still convert, never abort.
+                let candidate = handle
+                    .join()
+                    .unwrap_or_else(|p| Err(MeasureFailure::Panicked(panic_message(p.as_ref()))));
+                (reference, candidate)
+            });
+            self.launches += 2;
+            let reference = reference.map_err(fatal)?;
+            match candidate {
                 Err(f) => fallback = Some(reason_of(f)),
                 Ok(candidate) => {
                     if let Some((buffer, index)) = first_bit_mismatch(&reference, &candidate) {
@@ -886,7 +908,7 @@ impl Tuner {
             if rec.enabled() {
                 let mut attrs = vec![
                     ("ok", Value::from(fallback.is_none())),
-                    ("sequence", Value::from(winner.sequence.as_str())),
+                    ("sequence", Value::from(seq)),
                 ];
                 if let Some(reason) = &fallback {
                     attrs.push(("reason", Value::from(reason.to_string())));
@@ -1214,14 +1236,27 @@ fn simulate_caught(
     .unwrap_or_else(|p| Err(MeasureFailure::Panicked(panic_message(p.as_ref()))))
 }
 
-/// Run `kernel` once, serially and untraced, returning the final context
-/// for the differential-output guard.
+/// Run `kernel` once, serially into a [`NullSink`], returning the final
+/// context for the differential-output guard. With the recorder enabled
+/// the launch is wrapped in a `verify` span under `parent`, opened and
+/// closed on the calling thread and tagged with `version` (`original` or
+/// `winner`) and the winning `sequence` the pair verifies.
 fn run_for_outputs(
     kernel: &Function,
-    workload: &Workload,
+    workload: (Context, Vec<ArgValue>, NdRange),
     limits: &Limits,
+    rec: &dyn Recorder,
+    parent: Option<SpanId>,
+    version: &'static str,
+    sequence: &str,
 ) -> Result<Context, MeasureFailure> {
-    let (mut ctx, args, nd) = workload.instantiate();
+    let span = rec.enabled().then(|| {
+        let span = rec.span_start("verify", parent);
+        rec.span_attr(span, "version", Value::from(version));
+        rec.span_attr(span, "sequence", Value::from(sequence));
+        span
+    });
+    let (mut ctx, args, nd) = workload;
     let run = catch_unwind(AssertUnwindSafe(|| {
         enqueue_with_policy(
             &mut ctx,
@@ -1233,6 +1268,9 @@ fn run_for_outputs(
             ExecPolicy::Serial,
         )
     }));
+    if let Some(span) = span {
+        rec.span_end(span);
+    }
     match run {
         Ok(Ok(_)) => Ok(ctx),
         Ok(Err(e)) => Err(MeasureFailure::Exec(e)),
@@ -1412,6 +1450,22 @@ mod tests {
         }
         let measures = snap.events_named("measure");
         assert_eq!(measures.len(), 1 + n_cands);
+        // Each of the guard's two launches has its own `verify` span under
+        // the tune span, tagged with the version it ran and the winning
+        // sequence the pair verifies.
+        let verifies = snap.spans_named("verify");
+        assert_eq!(verifies.len(), 2);
+        let mut versions: Vec<&str> = verifies
+            .iter()
+            .map(|v| v.attr_str("version").expect("version attribute"))
+            .collect();
+        versions.sort_unstable();
+        assert_eq!(versions, ["original", "winner"]);
+        for v in &verifies {
+            assert_eq!(v.parent, Some(tune.id));
+            assert_eq!(v.attr_str("sequence"), Some(d.sequence.as_str()));
+            assert!(v.duration.is_some(), "verify span left open");
+        }
         let decisions = snap.events_named("decision");
         assert_eq!(decisions.len(), 1);
         assert_eq!(
