@@ -20,7 +20,38 @@ impl std::error::Error for VerifyError {}
 
 /// Verify a function, returning all problems found.
 pub fn verify(f: &Function) -> Result<(), Vec<VerifyError>> {
+    // Structure first: the CFG walks below index blocks by branch target
+    // and instructions by block entry.
     let mut errs = Vec::new();
+    for b in f.blocks() {
+        for &iv in &f.block(b).insts {
+            let targets = match f.inst(iv) {
+                None => {
+                    errs.push(VerifyError(format!(
+                        "block {} lists {iv:?}, which is not an instruction",
+                        f.block(b).name
+                    )));
+                    continue;
+                }
+                Some(Inst::Br { target }) => [Some(*target), None],
+                Some(Inst::CondBr {
+                    then_blk, else_blk, ..
+                }) => [Some(*then_blk), Some(*else_blk)],
+                Some(_) => [None, None],
+            };
+            for t in targets.into_iter().flatten() {
+                if t.index() >= f.num_blocks() {
+                    errs.push(VerifyError(format!(
+                        "block {} branches to missing block {t:?}",
+                        f.block(b).name
+                    )));
+                }
+            }
+        }
+    }
+    if !errs.is_empty() {
+        return Err(errs);
+    }
     let reach = reachable(f);
 
     // Each block: exactly one terminator, and it is last.
@@ -48,10 +79,15 @@ pub fn verify(f: &Function) -> Result<(), Vec<VerifyError>> {
                 )));
             }
         }
-        // Phis must be at the head of the block.
+        // Phis must be at the head of a block other than the entry (which
+        // no edge enters the first time).
         let mut seen_non_phi = false;
         for &iv in insts {
             match f.inst(iv) {
+                Some(Inst::Phi { .. }) if b == f.entry => errs.push(VerifyError(format!(
+                    "phi in entry block {}",
+                    f.block(b).name
+                ))),
                 Some(Inst::Phi { .. }) if seen_non_phi => errs.push(VerifyError(format!(
                     "phi after non-phi in block {}",
                     f.block(b).name

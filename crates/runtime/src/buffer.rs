@@ -49,6 +49,97 @@ impl BufferData {
     pub fn size_bytes(&self) -> u64 {
         self.len() as u64 * self.scalar().size_bytes()
     }
+
+    /// [`GlobalMem::load_words`] for a group-local buffer (errors name
+    /// buffer `u32::MAX`).
+    pub(crate) fn load_words(&self, offset: i64, lanes: u8) -> Result<[u64; 2], ExecError> {
+        let n = lanes as usize;
+        Ok(match self {
+            BufferData::F32(v) => {
+                let i = elem_index(u32::MAX, offset, 4, n, v.len())?;
+                pack_lanes(n, |j| v[i + j].to_bits())
+            }
+            BufferData::I32(v) => {
+                let i = elem_index(u32::MAX, offset, 4, n, v.len())?;
+                if n == 1 {
+                    [v[i] as i64 as u64, 0]
+                } else {
+                    pack_lanes(n, |j| v[i + j] as u32)
+                }
+            }
+            BufferData::I64(v) => [v[elem_index(u32::MAX, offset, 8, n, v.len())?] as u64, 0],
+        })
+    }
+
+    /// [`GlobalMem::store_words`] for a group-local buffer.
+    pub(crate) fn store_words(
+        &mut self,
+        offset: i64,
+        lanes: u8,
+        w: [u64; 2],
+    ) -> Result<(), ExecError> {
+        let n = lanes as usize;
+        match self {
+            BufferData::F32(v) => {
+                let i = elem_index(u32::MAX, offset, 4, n, v.len())?;
+                for (j, x) in v[i..i + n].iter_mut().enumerate() {
+                    *x = f32::from_bits(lane_of(w, j));
+                }
+            }
+            BufferData::I32(v) => {
+                let i = elem_index(u32::MAX, offset, 4, n, v.len())?;
+                for (j, x) in v[i..i + n].iter_mut().enumerate() {
+                    *x = lane_of(w, j) as i32;
+                }
+            }
+            BufferData::I64(v) => {
+                let i = elem_index(u32::MAX, offset, 8, n, v.len())?;
+                v[i] = w[0] as i64;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The element index a `lanes`-element access at byte `offset` starts at,
+/// with the engine's alignment and bounds errors.
+#[inline(always)]
+fn elem_index(
+    buffer: u32,
+    offset: i64,
+    esz: i64,
+    lanes: usize,
+    len: usize,
+) -> Result<usize, ExecError> {
+    if offset < 0 || offset % esz != 0 {
+        return Err(ExecError::BadAddress(offset));
+    }
+    let idx = (offset / esz) as usize;
+    if idx + lanes > len {
+        return Err(ExecError::OutOfBounds {
+            buffer,
+            index: idx + lanes - 1,
+            len,
+        });
+    }
+    Ok(idx)
+}
+
+/// Register-slot words of `n` 32-bit lanes: lane `j` in bits `32 * (j % 2)`
+/// of word `j / 2`.
+#[inline(always)]
+fn pack_lanes(n: usize, lane: impl Fn(usize) -> u32) -> [u64; 2] {
+    let mut w = [0u64; 2];
+    for j in 0..n {
+        w[j / 2] |= u64::from(lane(j)) << (32 * (j % 2));
+    }
+    w
+}
+
+/// Lane `j` of words packed by [`pack_lanes`] (lane 0 of a scalar word).
+#[inline(always)]
+fn lane_of(w: [u64; 2], j: usize) -> u32 {
+    (w[j / 2] >> (32 * (j % 2))) as u32
 }
 
 /// An execution context owning device buffers, with a flat device address
@@ -251,18 +342,8 @@ impl GlobalMem<'_> {
     pub(crate) fn load(&self, buf: u32, offset: i64, lanes: u8) -> Result<Val, ExecError> {
         let data = &self.bufs[buf as usize];
         let esz = data.scalar().size_bytes() as i64;
-        if offset < 0 || offset % esz != 0 {
-            return Err(ExecError::BadAddress(offset));
-        }
-        let idx = (offset / esz) as usize;
         let n = lanes as usize;
-        if idx + n > data.len() {
-            return Err(ExecError::OutOfBounds {
-                buffer: buf,
-                index: idx + n - 1,
-                len: data.len(),
-            });
-        }
+        let idx = elem_index(buf, offset, esz, n, data.len())?;
         Ok(match *data {
             RawBuf::F32(p, _) => {
                 if n == 1 {
@@ -300,18 +381,7 @@ impl GlobalMem<'_> {
     pub(crate) fn store(&self, buf: u32, offset: i64, val: Val) -> Result<(), ExecError> {
         let data = &self.bufs[buf as usize];
         let esz = data.scalar().size_bytes() as i64;
-        if offset < 0 || offset % esz != 0 {
-            return Err(ExecError::BadAddress(offset));
-        }
-        let idx = (offset / esz) as usize;
-        let n = val.lanes() as usize;
-        if idx + n > data.len() {
-            return Err(ExecError::OutOfBounds {
-                buffer: buf,
-                index: idx + n - 1,
-                len: data.len(),
-            });
-        }
+        let idx = elem_index(buf, offset, esz, val.lanes() as usize, data.len())?;
         match (data, val) {
             (&RawBuf::F32(p, _), Val::F32(x)) => unsafe { p.add(idx).write(x) },
             (&RawBuf::F32(p, _), Val::VF32(a, l)) => {
@@ -333,6 +403,73 @@ impl GlobalMem<'_> {
                     v.ty(),
                     d.scalar()
                 )))
+            }
+        }
+        Ok(())
+    }
+
+    /// [`GlobalMem::load`] into register-slot words: a scalar fills word 0
+    /// (an `i32` sign-extended, an `f32` as its bits), a vector of 2 to 4
+    /// `f32`/`i32` lanes is packed two lanes per word. Same checks and
+    /// errors as `load`; the bytecode engine only issues the accesses that
+    /// `load` would answer with a value.
+    #[inline]
+    pub(crate) fn load_words(
+        &self,
+        buf: u32,
+        offset: i64,
+        lanes: u8,
+    ) -> Result<[u64; 2], ExecError> {
+        let n = lanes as usize;
+        Ok(match self.bufs[buf as usize] {
+            RawBuf::F32(p, len) => {
+                let i = elem_index(buf, offset, 4, n, len)?;
+                pack_lanes(n, |j| unsafe { p.add(i + j).read() }.to_bits())
+            }
+            RawBuf::I32(p, len) => {
+                let i = elem_index(buf, offset, 4, n, len)?;
+                if n == 1 {
+                    [unsafe { p.add(i).read() } as i64 as u64, 0]
+                } else {
+                    pack_lanes(n, |j| unsafe { p.add(i + j).read() } as u32)
+                }
+            }
+            RawBuf::I64(p, len) => [
+                unsafe { p.add(elem_index(buf, offset, 8, n, len)?).read() } as u64,
+                0,
+            ],
+        })
+    }
+
+    /// [`GlobalMem::store`] from register-slot words laid out as
+    /// [`GlobalMem::load_words`] returns them. The bytecode engine only
+    /// issues stores of a value whose kind the buffer holds (a bool into
+    /// an `i32` buffer writes its 0/1 word), so there is no kind check.
+    #[inline]
+    pub(crate) fn store_words(
+        &self,
+        buf: u32,
+        offset: i64,
+        lanes: u8,
+        w: [u64; 2],
+    ) -> Result<(), ExecError> {
+        let n = lanes as usize;
+        match self.bufs[buf as usize] {
+            RawBuf::F32(p, len) => {
+                let i = elem_index(buf, offset, 4, n, len)?;
+                for j in 0..n {
+                    unsafe { p.add(i + j).write(f32::from_bits(lane_of(w, j))) }
+                }
+            }
+            RawBuf::I32(p, len) => {
+                let i = elem_index(buf, offset, 4, n, len)?;
+                for j in 0..n {
+                    unsafe { p.add(i + j).write(lane_of(w, j) as i32) }
+                }
+            }
+            RawBuf::I64(p, len) => {
+                let i = elem_index(buf, offset, 8, n, len)?;
+                unsafe { p.add(i).write(w[0] as i64) }
             }
         }
         Ok(())

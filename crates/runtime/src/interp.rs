@@ -587,6 +587,9 @@ pub(crate) fn enqueue_impl(
 ) -> Result<LaunchStats, ExecError> {
     nd.validate()?;
     validate_args(ctx, kernel, args)?;
+    // Both engines run only kernels the bytecode can lower, so the two
+    // stay interchangeable.
+    let kinds = bytecode::check_kernel(kernel)?;
 
     let params = param_seeds(kernel, args)?;
     let mut local_templ = Vec::new();
@@ -626,7 +629,11 @@ pub(crate) fn enqueue_impl(
     // executes the same compiled program.
     let program = match backend {
         Backend::Interp => None,
-        Backend::Bytecode => Some(bytecode::LaunchProgram::prepare(kernel, &launch.params)),
+        Backend::Bytecode => Some(bytecode::LaunchProgram::prepare(
+            kernel,
+            kinds,
+            &launch.params,
+        )?),
     };
     let program = program.as_ref();
 
@@ -1141,9 +1148,7 @@ fn run_item(
                 then_blk,
                 else_blk,
             } => {
-                let c = value_of(f, wi, *cond)?
-                    .as_bool()
-                    .ok_or_else(|| ExecError::TypeMismatch("condbr on non-bool".into()))?;
+                let c = branch_cond(value_of(f, wi, *cond)?)?;
                 wi.prev_block = Some(wi.block);
                 wi.block = if c { *then_blk } else { *else_blk };
                 wi.inst_idx = 0;
@@ -1152,7 +1157,7 @@ fn run_item(
             _ => {}
         }
 
-        let result = eval_inst(r, wi, iv, inst, sink)?;
+        let result = eval_inst(r, &wi.lid, &wi.wg, iv, inst, sink, |v| value_of(f, wi, v))?;
         if let Some(v) = result {
             wi.regs[iv.index()] = Some(v);
         }
@@ -1181,16 +1186,27 @@ fn value_of(f: &Function, wi: &WorkItem, v: ValueId) -> Result<Val, ExecError> {
     }
 }
 
+/// The condition of a conditional branch.
+pub(crate) fn branch_cond(v: Val) -> Result<bool, ExecError> {
+    v.as_bool()
+        .ok_or_else(|| ExecError::TypeMismatch("condbr on non-bool".into()))
+}
+
+/// Evaluate one non-control instruction of the work-item at local id `lid`
+/// in group `wg`, reading operands through `val`. The interpreter reads its
+/// `Val` register file; the bytecode engine's cold ops read their typed
+/// slots, so each piece of semantics has this one implementation.
 #[allow(clippy::too_many_lines)]
-fn eval_inst(
+pub(crate) fn eval_inst(
     r: &mut GroupRun<'_, '_>,
-    wi: &WorkItem,
+    lid: &[u64; 3],
+    wg: &[u64; 3],
     iv: ValueId,
     inst: &Inst,
     sink: &mut dyn TraceSink,
+    val: impl Fn(ValueId) -> Result<Val, ExecError>,
 ) -> Result<Option<Val>, ExecError> {
     let f = r.launch.f;
-    let val = |v: ValueId| value_of(f, wi, v);
     match inst {
         Inst::Bin { op, lhs, rhs } => {
             let l = val(*lhs)?;
@@ -1218,13 +1234,7 @@ fn eval_inst(
         }
         Inst::Call { builtin, args } => {
             let a: Vec<Val> = args.iter().map(|&x| val(x)).collect::<Result<_, _>>()?;
-            Ok(Some(eval_call(
-                &r.launch.nd,
-                &wi.lid,
-                &wi.wg,
-                *builtin,
-                &a,
-            )?))
+            Ok(Some(eval_call(&r.launch.nd, lid, wg, *builtin, &a)?))
         }
         Inst::Gep { base, index } => {
             let p = val(*base)?
@@ -1258,7 +1268,7 @@ fn eval_inst(
             } else {
                 mem_load(r, p, lanes)?
             };
-            emit(sink, r, wi, TraceOp::Load, p, ty.size_bytes() as u32, iv);
+            emit(sink, r, lid, TraceOp::Load, p, ty.size_bytes() as u32, iv);
             Ok(Some(v))
         }
         Inst::Store { ptr, value } => {
@@ -1271,7 +1281,7 @@ fn eval_inst(
             }
             let bytes = f.ty(*value).size_bytes() as u32;
             mem_store(r, p, v)?;
-            emit(sink, r, wi, TraceOp::Store, p, bytes, iv);
+            emit(sink, r, lid, TraceOp::Store, p, bytes, iv);
             Ok(None)
         }
         Inst::ExtractLane { vector, lane } => {
@@ -1298,33 +1308,39 @@ fn eval_inst(
                 return Err(ExecError::Unsupported("vectors wider than 4 lanes".into()));
             }
             let vals: Vec<Val> = lanes.iter().map(|&x| val(x)).collect::<Result<_, _>>()?;
-            let n = vals.len() as u8;
-            match vals[0] {
-                Val::F32(_) => {
-                    let mut a = [0.0f32; 4];
-                    for (i, v) in vals.iter().enumerate() {
-                        a[i] = v
-                            .as_f32()
-                            .ok_or_else(|| ExecError::TypeMismatch("mixed vector lanes".into()))?;
-                    }
-                    Ok(Some(Val::VF32(a, n)))
-                }
-                Val::I32(_) => {
-                    let mut a = [0i32; 4];
-                    for (i, v) in vals.iter().enumerate() {
-                        a[i] = v
-                            .as_i32()
-                            .ok_or_else(|| ExecError::TypeMismatch("mixed vector lanes".into()))?;
-                    }
-                    Ok(Some(Val::VI32(a, n)))
-                }
-                _ => Err(ExecError::Unsupported("vector of this kind".into())),
-            }
+            build_vector(&vals).map(Some)
         }
         Inst::Phi { .. } => Err(ExecError::Internal("phi outside block head".into())),
         Inst::Barrier { .. } | Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret => {
             Err(ExecError::Internal("control handled by run_item".into()))
         }
+    }
+}
+
+/// `BuildVector` of at most four lanes (the panic on an empty lane list
+/// becomes a `WorkerPanic`).
+pub(crate) fn build_vector(vals: &[Val]) -> Result<Val, ExecError> {
+    let n = vals.len() as u8;
+    match vals[0] {
+        Val::F32(_) => {
+            let mut a = [0.0f32; 4];
+            for (i, v) in vals.iter().enumerate() {
+                a[i] = v
+                    .as_f32()
+                    .ok_or_else(|| ExecError::TypeMismatch("mixed vector lanes".into()))?;
+            }
+            Ok(Val::VF32(a, n))
+        }
+        Val::I32(_) => {
+            let mut a = [0i32; 4];
+            for (i, v) in vals.iter().enumerate() {
+                a[i] = v
+                    .as_i32()
+                    .ok_or_else(|| ExecError::TypeMismatch("mixed vector lanes".into()))?;
+            }
+            Ok(Val::VI32(a, n))
+        }
+        _ => Err(ExecError::Unsupported("vector of this kind".into())),
     }
 }
 
@@ -1446,15 +1462,14 @@ fn store_to(data: &mut BufferData, offset: i64, v: Val) -> Result<(), ExecError>
 fn emit(
     sink: &mut dyn TraceSink,
     r: &GroupRun<'_, '_>,
-    wi: &WorkItem,
+    lid: &[u64; 3],
     op: TraceOp,
     p: PtrVal,
     bytes: u32,
     pc: ValueId,
 ) {
     let nd = &r.launch.nd;
-    let local_linear =
-        (wi.lid[2] * nd.local[1] * nd.local[0] + wi.lid[1] * nd.local[0] + wi.lid[0]) as u32;
+    let local_linear = (lid[2] * nd.local[1] * nd.local[0] + lid[1] * nd.local[0] + lid[0]) as u32;
     emit_at(sink, r, local_linear, op, p, bytes, pc.0);
 }
 
@@ -1525,99 +1540,105 @@ pub(crate) fn eval_bin(op: BinOp, l: Val, r: Val) -> Result<Val, ExecError> {
         return out.ok_or_else(|| ExecError::Internal("empty vector op".into()));
     }
 
+    if op.is_float() {
+        return match (l.as_f32(), r.as_f32()) {
+            (Some(a), Some(b)) => Ok(Val::F32(float_op(op, a, b))),
+            _ => Err(ExecError::TypeMismatch("float op on non-floats".into())),
+        };
+    }
+    // Integer ops preserve the width of the left operand.
+    let wide = matches!(l, Val::I64(_));
+    let (a, b) = match (l.as_int(), r.as_int()) {
+        (Some(a), Some(b)) => (a, b),
+        _ => return Err(ExecError::TypeMismatch("int op on non-ints".into())),
+    };
+    // Bool And/Or/Xor keep bool.
+    if matches!(l, Val::Bool(_)) && matches!(op, BinOp::And | BinOp::Or | BinOp::Xor) {
+        return Ok(Val::Bool(int_op(op, a, b, false)? != 0));
+    }
+    let v = int_op(op, a, b, wide)?;
+    Ok(if wide {
+        Val::I64(v)
+    } else {
+        Val::I32(v as i32)
+    })
+}
+
+/// A scalar float operation (`op` is one of the float ops).
+///
+/// Rust leaves the payload of a NaN result unspecified, and the compiler
+/// may commute the operands of `fadd`/`fmul` differently wherever this is
+/// inlined; when both operands are NaN, x86 returns the first one. So a
+/// NaN result with a NaN `a` is `a` quieted, in every engine.
+#[inline(always)]
+pub(crate) fn float_op(op: BinOp, a: f32, b: f32) -> f32 {
     use BinOp::*;
-    match op {
-        FAdd | FSub | FMul | FDiv | FMin | FMax => {
-            let (a, b) = match (l.as_f32(), r.as_f32()) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Err(ExecError::TypeMismatch("float op on non-floats".into())),
-            };
-            Ok(Val::F32(match op {
-                FAdd => a + b,
-                FSub => a - b,
-                FMul => a * b,
-                FDiv => a / b,
-                FMin => a.min(b),
-                FMax => a.max(b),
-                _ => unreachable!(),
-            }))
-        }
-        _ => {
-            // Integer ops preserve the width of the left operand.
-            let wide = matches!(l, Val::I64(_));
-            let (a, b) = match (l.as_int(), r.as_int()) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Err(ExecError::TypeMismatch("int op on non-ints".into())),
-            };
-            if matches!(op, SDiv | UDiv | SRem | URem) && b == 0 {
-                return Err(ExecError::DivisionByZero);
-            }
-            // Bool And/Or/Xor keep bool.
-            if matches!(l, Val::Bool(_)) && matches!(op, And | Or | Xor) {
-                let v = match op {
-                    And => a & b,
-                    Or => a | b,
-                    Xor => a ^ b,
-                    _ => unreachable!(),
-                };
-                return Ok(Val::Bool(v != 0));
-            }
-            let v: i64 = match op {
-                Add => a.wrapping_add(b),
-                Sub => a.wrapping_sub(b),
-                Mul => a.wrapping_mul(b),
-                SDiv => a.wrapping_div(b),
-                UDiv => {
-                    if wide {
-                        ((a as u64) / (b as u64)) as i64
-                    } else {
-                        ((a as u32) / (b as u32)) as i64
-                    }
-                }
-                SRem => a.wrapping_rem(b),
-                URem => {
-                    if wide {
-                        ((a as u64) % (b as u64)) as i64
-                    } else {
-                        ((a as u32) % (b as u32)) as i64
-                    }
-                }
-                Shl => a.wrapping_shl(b as u32),
-                LShr => {
-                    if wide {
-                        ((a as u64) >> (b as u32 & 63)) as i64
-                    } else {
-                        (((a as u32) >> (b as u32 & 31)) as i32) as i64
-                    }
-                }
-                AShr => a.wrapping_shr(b as u32),
-                And => a & b,
-                Or => a | b,
-                Xor => a ^ b,
-                _ => unreachable!(),
-            };
-            Ok(if wide {
-                Val::I64(v)
-            } else {
-                Val::I32(v as i32)
-            })
-        }
+    let r = match op {
+        FAdd => a + b,
+        FSub => a - b,
+        FMul => a * b,
+        FDiv => a / b,
+        FMin => a.min(b),
+        FMax => a.max(b),
+        _ => unreachable!("{op:?} is not a float op"),
+    };
+    if r.is_nan() && a.is_nan() {
+        f32::from_bits(a.to_bits() | 0x0040_0000)
+    } else {
+        r
     }
 }
 
+/// An integer operation on operands widened to `i64`. Narrow (`i32`)
+/// operations keep their unsigned forms at 32 bits; the caller truncates
+/// a narrow result.
+#[inline(always)]
+pub(crate) fn int_op(op: BinOp, a: i64, b: i64, wide: bool) -> Result<i64, ExecError> {
+    use BinOp::*;
+    if matches!(op, SDiv | UDiv | SRem | URem) && b == 0 {
+        return Err(ExecError::DivisionByZero);
+    }
+    Ok(match op {
+        Add => a.wrapping_add(b),
+        Sub => a.wrapping_sub(b),
+        Mul => a.wrapping_mul(b),
+        SDiv => a.wrapping_div(b),
+        UDiv => {
+            if wide {
+                ((a as u64) / (b as u64)) as i64
+            } else {
+                ((a as u32) / (b as u32)) as i64
+            }
+        }
+        SRem => a.wrapping_rem(b),
+        URem => {
+            if wide {
+                ((a as u64) % (b as u64)) as i64
+            } else {
+                ((a as u32) % (b as u32)) as i64
+            }
+        }
+        Shl => a.wrapping_shl(b as u32),
+        LShr => {
+            if wide {
+                ((a as u64) >> (b as u32 & 63)) as i64
+            } else {
+                (((a as u32) >> (b as u32 & 31)) as i32) as i64
+            }
+        }
+        AShr => a.wrapping_shr(b as u32),
+        And => a & b,
+        Or => a | b,
+        Xor => a ^ b,
+        _ => unreachable!("{op:?} is not an integer op"),
+    })
+}
+
 pub(crate) fn eval_cmp(pred: CmpPred, l: Val, r: Val) -> Result<Val, ExecError> {
-    use CmpPred::*;
     if let (Some(a), Some(b)) = (l.as_f32(), r.as_f32()) {
-        let v = match pred {
-            FEq => a == b,
-            FNe => a != b,
-            FLt => a < b,
-            FLe => a <= b,
-            FGt => a > b,
-            FGe => a >= b,
-            _ => return Err(ExecError::TypeMismatch("int predicate on floats".into())),
-        };
-        return Ok(Val::Bool(v));
+        return float_cmp(pred, a, b)
+            .map(Val::Bool)
+            .ok_or_else(|| ExecError::TypeMismatch("int predicate on floats".into()));
     }
     let (a, b) = match (l.as_int(), r.as_int()) {
         (Some(a), Some(b)) => (a, b),
@@ -1625,12 +1646,38 @@ pub(crate) fn eval_cmp(pred: CmpPred, l: Val, r: Val) -> Result<Val, ExecError> 
     };
     // Unsigned comparisons act on the operand width.
     let wide = matches!(l, Val::I64(_));
+    int_cmp(pred, a, b, wide)
+        .map(Val::Bool)
+        .ok_or_else(|| ExecError::TypeMismatch("float predicate on ints".into()))
+}
+
+/// A float comparison; `None` for an integer predicate.
+#[inline(always)]
+pub(crate) fn float_cmp(pred: CmpPred, a: f32, b: f32) -> Option<bool> {
+    use CmpPred::*;
+    Some(match pred {
+        FEq => a == b,
+        FNe => a != b,
+        FLt => a < b,
+        FLe => a <= b,
+        FGt => a > b,
+        FGe => a >= b,
+        _ => return None,
+    })
+}
+
+/// An integer comparison of operands widened to `i64`; unsigned
+/// predicates compare at 32 bits unless `wide`. `None` for a float
+/// predicate.
+#[inline(always)]
+pub(crate) fn int_cmp(pred: CmpPred, a: i64, b: i64, wide: bool) -> Option<bool> {
+    use CmpPred::*;
     let (ua, ub) = if wide {
         (a as u64, b as u64)
     } else {
         (a as u32 as u64, b as u32 as u64)
     };
-    let v = match pred {
+    Some(match pred {
         Eq => a == b,
         Ne => a != b,
         Slt => a < b,
@@ -1641,9 +1688,8 @@ pub(crate) fn eval_cmp(pred: CmpPred, l: Val, r: Val) -> Result<Val, ExecError> 
         Ule => ua <= ub,
         Ugt => ua > ub,
         Uge => ua >= ub,
-        _ => return Err(ExecError::TypeMismatch("float predicate on ints".into())),
-    };
-    Ok(Val::Bool(v))
+        _ => return None,
+    })
 }
 
 pub(crate) fn eval_cast(kind: CastKind, v: Val, to: Type) -> Result<Val, ExecError> {

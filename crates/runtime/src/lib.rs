@@ -97,6 +97,10 @@ pub enum ExecError {
     DeadlineExceeded,
     /// Invalid NDRange geometry.
     BadNdRange(String),
+    /// The kernel fails [`grover_ir::verify`], or its values do not hold
+    /// one kind of value each (a phi or select merging, say, an `i32` and
+    /// an `i64`): no engine runs it.
+    InvalidKernel(String),
     /// A construct the interpreter does not support.
     Unsupported(String),
     /// A panic while executing a work-group (in the interpreter, a trace
@@ -135,6 +139,7 @@ impl std::fmt::Display for ExecError {
             ExecError::InstructionLimit => f.write_str("instruction limit exceeded"),
             ExecError::DeadlineExceeded => f.write_str("launch exceeded its wall-clock deadline"),
             ExecError::BadNdRange(s) => write!(f, "invalid NDRange: {s}"),
+            ExecError::InvalidKernel(s) => write!(f, "invalid kernel: {s}"),
             ExecError::Unsupported(s) => write!(f, "unsupported: {s}"),
             ExecError::WorkerPanic { group, message } => {
                 if *group == u32::MAX {
