@@ -60,20 +60,21 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp (higher = more recent).
-    stamp: u64,
-}
-
 /// A single cache level.
+///
+/// Lines live in two flat, set-major arrays: way `w` of set `s` is at
+/// `s * ways + w`. Both are allocated zeroed, so the pages of sets no
+/// access reaches are never written.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Each line's tag.
+    tags: Vec<u64>,
+    /// Each line's `stamp << 1 | dirty`, 0 for an invalid line (the clock
+    /// is incremented before it stamps, so every stamp is at least 1).
+    meta: Vec<u64>,
+    /// `config.ways`.
+    ways: usize,
     /// `log2(line_bytes)`.
     line_shift: u32,
     /// `config.num_sets()`.
@@ -82,6 +83,7 @@ pub struct Cache {
     /// mask and shift); `None` for the others (SNB/Nehalem LLC, the GPU
     /// L2s), which take one div/mod.
     set_shift: Option<u32>,
+    /// LRU clock: the stamp of the latest access.
     clock: u64,
     /// Running statistics.
     pub stats: CacheStats,
@@ -114,22 +116,13 @@ impl Cache {
         );
         assert!(config.ways >= 1, "a cache needs at least one way");
         let num_sets = config.num_sets();
-        let sets = (0..num_sets)
-            .map(|_| {
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        stamp: 0
-                    };
-                    config.ways as usize
-                ]
-            })
-            .collect();
+        let ways = config.ways as usize;
+        let lines = num_sets as usize * ways;
         Cache {
             config,
-            sets,
+            tags: vec![0; lines],
+            meta: vec![0; lines],
+            ways,
             line_shift: config.line_bytes.trailing_zeros(),
             num_sets,
             set_shift: num_sets
@@ -146,7 +139,7 @@ impl Cache {
     }
 
     /// Access one byte address. Accesses spanning multiple lines should be
-    /// split by the caller (see [`Cache::access_range`]).
+    /// split by the caller.
     pub fn access(&mut self, addr: u64, is_write: bool) -> Probe {
         self.clock += 1;
         let line_addr = addr >> self.line_shift;
@@ -154,25 +147,27 @@ impl Cache {
             Some(shift) => (line_addr & (self.num_sets - 1), line_addr >> shift),
             None => (line_addr % self.num_sets, line_addr / self.num_sets),
         };
-        let set = &mut self.sets[set_idx as usize];
+        let base = set_idx as usize * self.ways;
+        let tags = &mut self.tags[base..base + self.ways];
+        let meta = &mut self.meta[base..base + self.ways];
 
         // One pass: the hit, else the first invalid way, else the LRU way
-        // (valid stamps are distinct: each access stamps one line).
+        // (valid stamps are distinct: each access stamps one line, so the
+        // smallest meta word holds the smallest stamp).
         let mut invalid = None;
         let mut lru = 0;
-        let mut lru_stamp = u64::MAX;
-        for (i, l) in set.iter_mut().enumerate() {
-            if !l.valid {
+        let mut lru_meta = u64::MAX;
+        for (i, (&t, m)) in tags.iter().zip(meta.iter_mut()).enumerate() {
+            if *m == 0 {
                 if invalid.is_none() {
                     invalid = Some(i);
                 }
-            } else if l.tag == tag {
-                l.stamp = self.clock;
-                l.dirty |= is_write;
+            } else if t == tag {
+                *m = self.clock << 1 | (*m & 1) | is_write as u64;
                 self.stats.hits += 1;
                 return Probe::Hit;
-            } else if l.stamp < lru_stamp {
-                lru_stamp = l.stamp;
+            } else if *m < lru_meta {
+                lru_meta = *m;
                 lru = i;
             }
         }
@@ -184,42 +179,14 @@ impl Cache {
                 lru
             }
         };
-        let writeback = set[victim].valid && set[victim].dirty;
+        // An invalid line's meta is 0, so it is never dirty.
+        let writeback = meta[victim] & 1 == 1;
         if writeback {
             self.stats.writebacks += 1;
         }
-        set[victim] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            stamp: self.clock,
-        };
+        tags[victim] = tag;
+        meta[victim] = self.clock << 1 | is_write as u64;
         Probe::Miss { writeback }
-    }
-
-    /// Access `[addr, addr+bytes)`, splitting across lines. Returns the
-    /// number of line-level misses.
-    pub fn access_range(&mut self, addr: u64, bytes: u64, is_write: bool) -> u64 {
-        let lb = self.config.line_bytes;
-        let first = addr / lb;
-        let last = (addr + bytes.max(1) - 1) / lb;
-        let mut misses = 0;
-        for line in first..=last {
-            if matches!(self.access(line * lb, is_write), Probe::Miss { .. }) {
-                misses += 1;
-            }
-        }
-        misses
-    }
-
-    /// Drop all contents (e.g. between benchmark repetitions).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                l.valid = false;
-                l.dirty = false;
-            }
-        }
     }
 }
 
@@ -269,15 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn range_access_spans_lines() {
-        let mut c = tiny();
-        // 16-byte vector at offset 8 touches two lines.
-        let misses = c.access_range(8, 16, false);
-        assert_eq!(misses, 2);
-        assert_eq!(c.access_range(8, 16, false), 0);
-    }
-
-    #[test]
     fn hit_plus_miss_equals_accesses() {
         let mut c = tiny();
         for i in 0..1000u64 {
@@ -285,15 +243,6 @@ mod tests {
         }
         assert_eq!(c.stats.hits + c.stats.misses, c.stats.accesses());
         assert_eq!(c.stats.accesses(), 1000);
-    }
-
-    #[test]
-    fn flush_empties() {
-        let mut c = tiny();
-        c.access(0, false);
-        assert_eq!(c.access(0, false), Probe::Hit);
-        c.flush();
-        assert!(matches!(c.access(0, false), Probe::Miss { .. }));
     }
 
     #[test]
@@ -307,8 +256,18 @@ mod tests {
         assert_eq!(c.stats.hits, 192);
     }
 
-    /// The cache as it was before indexing by shift and the one-pass way
-    /// scan: the reference the fast path must reproduce probe for probe.
+    #[derive(Clone, Copy, Debug)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        /// LRU timestamp (higher = more recent).
+        stamp: u64,
+    }
+
+    /// The cache as it was before indexing by shift, the one-pass way scan
+    /// and flat storage: the reference the fast path must reproduce probe
+    /// for probe.
     struct RefCache {
         config: CacheConfig,
         sets: Vec<Vec<Line>>,

@@ -70,7 +70,7 @@ pub struct PerfReport {
 
 /// Whether `name` is one of the six modelled devices. Validates a device
 /// name without building a model, which [`Device::by_name`] does (a MIC
-/// model allocates about 130k cache sets).
+/// model makes about 360 allocations, 16 MB of lazily zeroed cache lines).
 pub fn is_device(name: &str) -> bool {
     ALL_DEVICES.contains(&name)
 }
