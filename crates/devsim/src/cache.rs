@@ -62,17 +62,17 @@ impl CacheStats {
 
 /// A single cache level.
 ///
-/// Lines live in two flat, set-major arrays: way `w` of set `s` is at
-/// `s * ways + w`. Both are allocated zeroed, so the pages of sets no
-/// access reaches are never written.
+/// Lines live in one flat, set-major array of words: set `s` is
+/// `lines[s * ways..(s + 1) * ways]`, kept in recency order, most recent
+/// first. A word is `(tag + 1) << 1 | dirty` and 0 is an invalid line;
+/// valid lines always form a prefix of their set, so the last word of a
+/// full set is its least recently used line. The array is allocated
+/// (zeroed) by the first probe, so a cache no launch reaches holds none.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// Each line's tag.
-    tags: Vec<u64>,
-    /// Each line's `stamp << 1 | dirty`, 0 for an invalid line (the clock
-    /// is incremented before it stamps, so every stamp is at least 1).
-    meta: Vec<u64>,
+    /// The line words; empty until the first probe.
+    lines: Vec<u64>,
     /// `config.ways`.
     ways: usize,
     /// `log2(line_bytes)`.
@@ -83,8 +83,6 @@ pub struct Cache {
     /// mask and shift); `None` for the others (SNB/Nehalem LLC, the GPU
     /// L2s), which take one div/mod.
     set_shift: Option<u32>,
-    /// LRU clock: the stamp of the latest access.
-    clock: u64,
     /// Running statistics.
     pub stats: CacheStats,
 }
@@ -106,29 +104,26 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// If `line_bytes` is not a power of two or `ways` is zero: the cache
-    /// indexes lines by shifting.
+    /// If `line_bytes` is not a power of two of at least 4 or `ways` is
+    /// zero: the cache indexes lines by shifting, and with 4-byte lines
+    /// or wider every `(tag + 1) << 1` fits in a word.
     pub fn new(config: CacheConfig) -> Cache {
         assert!(
-            config.line_bytes.is_power_of_two(),
-            "cache line size {} is not a power of two",
+            config.line_bytes.is_power_of_two() && config.line_bytes >= 4,
+            "cache line size {} is not a power of two of at least 4",
             config.line_bytes
         );
         assert!(config.ways >= 1, "a cache needs at least one way");
         let num_sets = config.num_sets();
-        let ways = config.ways as usize;
-        let lines = num_sets as usize * ways;
         Cache {
             config,
-            tags: vec![0; lines],
-            meta: vec![0; lines],
-            ways,
+            lines: Vec::new(),
+            ways: config.ways as usize,
             line_shift: config.line_bytes.trailing_zeros(),
             num_sets,
             set_shift: num_sets
                 .is_power_of_two()
                 .then(|| num_sets.trailing_zeros()),
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -141,51 +136,40 @@ impl Cache {
     /// Access one byte address. Accesses spanning multiple lines should be
     /// split by the caller.
     pub fn access(&mut self, addr: u64, is_write: bool) -> Probe {
-        self.clock += 1;
+        if self.lines.is_empty() {
+            self.lines = vec![0; self.num_sets as usize * self.ways];
+        }
         let line_addr = addr >> self.line_shift;
         let (set_idx, tag) = match self.set_shift {
             Some(shift) => (line_addr & (self.num_sets - 1), line_addr >> shift),
             None => (line_addr % self.num_sets, line_addr / self.num_sets),
         };
         let base = set_idx as usize * self.ways;
-        let tags = &mut self.tags[base..base + self.ways];
-        let meta = &mut self.meta[base..base + self.ways];
+        let set = &mut self.lines[base..base + self.ways];
+        let word = (tag + 1) << 1;
 
-        // One pass: the hit, else the first invalid way, else the LRU way
-        // (valid stamps are distinct: each access stamps one line, so the
-        // smallest meta word holds the smallest stamp).
-        let mut invalid = None;
-        let mut lru = 0;
-        let mut lru_meta = u64::MAX;
-        for (i, (&t, m)) in tags.iter().zip(meta.iter_mut()).enumerate() {
-            if *m == 0 {
-                if invalid.is_none() {
-                    invalid = Some(i);
-                }
-            } else if t == tag {
-                *m = self.clock << 1 | (*m & 1) | is_write as u64;
-                self.stats.hits += 1;
-                return Probe::Hit;
-            } else if *m < lru_meta {
-                lru_meta = *m;
-                lru = i;
-            }
+        // The hit, else the first invalid way, else the last (LRU) way;
+        // either way the line moves to the front.
+        let way = set
+            .iter()
+            .position(|&w| w & !1 == word || w == 0)
+            .unwrap_or(self.ways - 1);
+        let old = set[way];
+        set.copy_within(..way, 1);
+        if old & !1 == word {
+            set[0] = old | is_write as u64;
+            self.stats.hits += 1;
+            return Probe::Hit;
         }
+        set[0] = word | is_write as u64;
         self.stats.misses += 1;
-        let victim = match invalid {
-            Some(i) => i,
-            None => {
-                self.stats.evictions += 1;
-                lru
-            }
-        };
-        // An invalid line's meta is 0, so it is never dirty.
-        let writeback = meta[victim] & 1 == 1;
+        if old != 0 {
+            self.stats.evictions += 1;
+        }
+        let writeback = old & 1 == 1;
         if writeback {
             self.stats.writebacks += 1;
         }
-        tags[victim] = tag;
-        meta[victim] = self.clock << 1 | is_write as u64;
         Probe::Miss { writeback }
     }
 }
@@ -236,6 +220,18 @@ mod tests {
     }
 
     #[test]
+    fn a_promoted_line_keeps_its_dirty_bit() {
+        let mut c = tiny();
+        c.access(0, true); // dirty
+        c.access(64, false); // line 0 is now LRU
+        assert_eq!(c.access(0, false), Probe::Hit); // a read promotes it
+        assert_eq!(c.access(128, false), Probe::Miss { writeback: false }); // evicts 64
+        assert_eq!(c.access(192, false), Probe::Miss { writeback: true }); // evicts 0
+        assert_eq!(c.stats.evictions, 2);
+        assert_eq!(c.stats.writebacks, 1);
+    }
+
+    #[test]
     fn hit_plus_miss_equals_accesses() {
         let mut c = tiny();
         for i in 0..1000u64 {
@@ -265,9 +261,9 @@ mod tests {
         stamp: u64,
     }
 
-    /// The cache as it was before indexing by shift, the one-pass way scan
-    /// and flat storage: the reference the fast path must reproduce probe
-    /// for probe.
+    /// The cache as it was before indexing by shift, flat storage and
+    /// recency-ordered words: a timestamp LRU over one vector per set, the
+    /// reference the fast path must reproduce probe for probe.
     struct RefCache {
         config: CacheConfig,
         sets: Vec<Vec<Line>>,
@@ -364,9 +360,13 @@ mod tests {
                 x ^= x << 17;
                 x
             };
-            for i in 0..60_000u64 {
+            // The deepest way of a full set a probe hit in.
+            let mut deepest = 0;
+            for i in 0..80_000u64 {
                 let r = next();
-                let addr = match i % 3 {
+                // Three mixed kinds of traffic, then deep hits.
+                let kind = if i < 60_000 { i % 3 } else { 3 };
+                let addr = match kind {
                     // Conflict traffic: 8 sets, three times as many tags
                     // as ways, so sets fill, hit and evict.
                     0 => {
@@ -377,9 +377,25 @@ mod tests {
                     // A sequential stream.
                     1 => i * 4,
                     // Scattered addresses over twice the capacity.
-                    _ => r % (2 * config.size_bytes),
+                    2 => r % (2 * config.size_bytes),
+                    // Two sets, one tag more than ways: the sets stay
+                    // full and most probes hit, at every depth.
+                    _ => {
+                        let set = r % 2 * (sets / 2);
+                        let tag = (r >> 8) % (config.ways + 1);
+                        (tag * sets + set) * lb + (r >> 32) % lb
+                    }
                 };
                 let is_write = (r >> 40) % 4 == 0;
+                let line = addr / lb;
+                let word = (line / sets + 1) << 1;
+                let base = (line % sets * config.ways) as usize;
+                let set = fast.lines.get(base..base + fast.ways).unwrap_or(&[]);
+                if set.iter().all(|&w| w != 0) {
+                    if let Some(way) = set.iter().position(|&w| w & !1 == word) {
+                        deepest = deepest.max(way as u64);
+                    }
+                }
                 let (a, b) = (
                     fast.access(addr, is_write),
                     reference.access(addr, is_write),
@@ -392,6 +408,7 @@ mod tests {
                 s.hits > 0 && s.evictions > 0 && s.writebacks > 0,
                 "{name}: {s:?}"
             );
+            assert_eq!(deepest, config.ways - 1, "{name}: no hit in the LRU way");
         }
     }
 
@@ -399,6 +416,10 @@ mod tests {
     fn geometry_is_checked() {
         let line = std::panic::catch_unwind(|| Cache::new(CacheConfig::new(1024, 48, 2, 1)));
         assert!(line.is_err(), "48-byte lines accepted");
+        for bytes in [1, 2] {
+            let tiny = std::panic::catch_unwind(|| Cache::new(CacheConfig::new(64, bytes, 2, 1)));
+            assert!(tiny.is_err(), "{bytes}-byte lines accepted");
+        }
         let ways = std::panic::catch_unwind(|| Cache::new(CacheConfig::new(1024, 64, 0, 1)));
         assert!(ways.is_err(), "zero ways accepted");
     }

@@ -70,7 +70,8 @@ pub struct PerfReport {
 
 /// Whether `name` is one of the six modelled devices. Validates a device
 /// name without building a model, which [`Device::by_name`] does (a MIC
-/// model makes about 360 allocations, 16 MB of lazily zeroed cache lines).
+/// model is five allocations, about 25 KB of cache and prefetcher
+/// headers; each cache allocates its lines on its first probe).
 pub fn is_device(name: &str) -> bool {
     ALL_DEVICES.contains(&name)
 }

@@ -1,27 +1,27 @@
-//! What building a device model allocates. A model's caches are two flat
-//! arrays each, allocated zeroed, so building one costs a few allocations
-//! and writes no cache storage; per-set vectors or an eager fill would
-//! show here as thousands of allocations or megabytes of plain `alloc`.
+//! What building a device model and probing its caches allocate. A
+//! model's caches hold no line storage until their first probe, which
+//! allocates one zeroed array of a word per line; per-set vectors, eager
+//! storage or an eager fill would show here as thousands of allocations
+//! or megabytes of zeroed or plain `alloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use grover_devsim::profiles::{cpu_by_name, gpu_by_name};
-use grover_devsim::{Device, ALL_DEVICES};
+use grover_devsim::{Cache, CacheConfig, Device, ALL_DEVICES};
 
 /// Counts this thread's allocations, so the test harness's own threads do
 /// not reach the counts.
 struct Counting;
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Counts {
     /// Calls to `alloc`, `alloc_zeroed` and `realloc`.
     allocations: u64,
     /// Bytes asked of plain `alloc` and `realloc` (memory the program may
     /// write before use).
     plain_bytes: u64,
-    /// Bytes asked of `alloc_zeroed` (pages the kernel zeroes on first
-    /// touch).
+    /// Bytes asked of `alloc_zeroed`.
     zeroed_bytes: u64,
 }
 
@@ -89,16 +89,12 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
 const PLAIN_BYTES_CEILING: u64 = 64 << 10;
 
 #[test]
-fn building_a_model_allocates_cache_storage_zeroed_and_in_few_pieces() {
+fn building_a_model_allocates_no_cache_storage() {
     for name in ALL_DEVICES {
-        // (cores, cache levels, bytes of line storage in the private
-        // levels: 16 per line, a tag and a meta word).
-        let (cores, levels, private_bytes) = match (cpu_by_name(name), gpu_by_name(name)) {
-            (Some(p), _) => {
-                let lines = p.l1.num_sets() * p.l1.ways + p.l2.num_sets() * p.l2.ways;
-                (p.cores as u64, 3, p.cores as u64 * lines * 16)
-            }
-            (None, Some(p)) => (1, 1, p.l2.num_sets() * p.l2.ways * 16),
+        // (cores, cache levels, cycle counters: one per core or SM).
+        let (cores, levels, counters) = match (cpu_by_name(name), gpu_by_name(name)) {
+            (Some(p), _) => (p.cores as u64, 3, p.cores as u64),
+            (None, Some(p)) => (1, 1, p.sms as u64),
             (None, None) => panic!("{name} has no profile"),
         };
         let (device, counts) = counted(|| Device::by_name(name).expect("known device"));
@@ -109,15 +105,48 @@ fn building_a_model_allocates_cache_storage_zeroed_and_in_few_pieces() {
             "{name}: {} allocations, bound {bound}",
             counts.allocations
         );
-        assert!(
-            counts.zeroed_bytes >= private_bytes,
-            "{name}: {} zeroed bytes, the private caches' lines alone take {private_bytes}",
-            counts.zeroed_bytes
+        // The cycle counters are the only zeroed allocation: no line
+        // storage before a probe.
+        assert_eq!(
+            counts.zeroed_bytes,
+            8 * counters,
+            "{name}: zeroed bytes beyond the {counters} cycle counters"
         );
         assert!(
             counts.plain_bytes <= PLAIN_BYTES_CEILING,
             "{name}: {} bytes from plain alloc, ceiling {PLAIN_BYTES_CEILING}",
             counts.plain_bytes
         );
+    }
+}
+
+#[test]
+fn the_first_probe_allocates_a_word_per_line() {
+    let mut geometries: Vec<(String, CacheConfig)> = Vec::new();
+    for name in ALL_DEVICES {
+        if let Some(p) = cpu_by_name(name) {
+            for (level, config) in [("L1", p.l1), ("L2", p.l2), ("LLC", p.llc)] {
+                geometries.push((format!("{name} {level}"), config));
+            }
+        }
+        if let Some(p) = gpu_by_name(name) {
+            geometries.push((format!("{name} L2"), p.l2));
+        }
+    }
+    for (name, config) in geometries {
+        let mut cache = Cache::new(config);
+        let (_, first) = counted(|| cache.access(0x1234, true));
+        let words = config.num_sets() * config.ways;
+        assert_eq!(
+            first,
+            Counts {
+                allocations: 1,
+                plain_bytes: 0,
+                zeroed_bytes: words * 8,
+            },
+            "{name}: first probe, {words} lines"
+        );
+        let (_, second) = counted(|| cache.access(0x9876_5400, false));
+        assert_eq!(second, Counts::default(), "{name}: second probe");
     }
 }
