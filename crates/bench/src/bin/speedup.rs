@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use grover_bench::scale_from_env;
 use grover_kernels::{app_by_id, prepare_pair, Scale};
 use grover_obs::json::{array, Obj};
-use grover_runtime::{enqueue_with_backend, Backend, ExecPolicy, Limits, NullSink};
+use grover_runtime::{enqueue, Backend, ExecPolicy, Launch, NullSink};
 
 /// Apps whose launches are large enough to amortise thread start-up — and
 /// interpreter-bound enough that dispatch overhead dominates.
@@ -41,15 +41,17 @@ fn median_time(
         // outside the timed region.
         let mut prepared = (app.prepare)(scale);
         let t = Instant::now();
-        enqueue_with_backend(
+        enqueue(
             &mut prepared.ctx,
             kernel,
             &prepared.args,
             &prepared.nd,
             &mut NullSink,
-            &Limits::default(),
-            policy,
-            backend,
+            &Launch {
+                policy,
+                backend,
+                ..Launch::default()
+            },
         )
         .expect("launch failed");
         if i > 0 {

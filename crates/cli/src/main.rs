@@ -117,8 +117,7 @@ use grover_core::Grover;
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::printer::function_to_string;
 use grover_kernels::{
-    all_apps, app_by_id, extension_apps, prepare_pair, run_prepared_observed, App, KernelPair,
-    Scale,
+    all_apps, app_by_id, extension_apps, prepare_pair, run_prepared_with, App, KernelPair, Scale,
 };
 use grover_obs::json::{array, Obj};
 use grover_obs::{JsonlRecorder, NoopRecorder, Recorder, Value};
@@ -126,7 +125,7 @@ use grover_predict::{
     evaluate_loo, parse_corpus, schema_hash, train_rows, CorpusRow, FeatureVector,
     Model as PredictModel, TrainConfig, Verdict,
 };
-use grover_runtime::{CountingSink, ExecPolicy, Limits};
+use grover_runtime::{CountingSink, ExecPolicy, Launch, Limits};
 use grover_tuner::{Choice, Decision, RetryPolicy, TuneError, Tuner, Workload};
 
 const EXIT_USAGE: u8 = 2;
@@ -594,9 +593,15 @@ fn cmd_profile(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
         rec.span_attr(span, "app", Value::from(app_id.as_str()));
         rec.span_attr(span, "scale", Value::from(scale_name(scale)));
     }
+    let launch = Launch {
+        policy,
+        recorder: rec,
+        parent: span,
+        ..Launch::default()
+    };
     let run = |kernel, version: &str| -> Result<CountingSink, Failure> {
         let mut sink = CountingSink::default();
-        run_prepared_observed(kernel, (app.prepare)(scale), &mut sink, policy, rec, span)
+        run_prepared_with(kernel, (app.prepare)(scale), &mut sink, &launch)
             .map_err(|e| Failure::new(EXIT_EXEC, format!("{version} kernel: {e}")))?;
         Ok(sink)
     };
@@ -638,16 +643,24 @@ fn cmd_profile_ops(
 ) -> Result<(), Failure> {
     let run = |kernel, version: &str| -> Result<(u64, grover_runtime::OpProfile), Failure> {
         let mut p = (app.prepare)(scale);
-        let (stats, profile) = grover_runtime::enqueue_profiled(
+        let launch = Launch {
+            policy,
+            profile: true,
+            ..Launch::default()
+        };
+        let mut stats = grover_runtime::enqueue(
             &mut p.ctx,
             kernel,
             &p.args,
             &p.nd,
             &mut grover_runtime::NullSink,
-            &Limits::default(),
-            policy,
+            &launch,
         )
         .map_err(|e| Failure::new(EXIT_EXEC, format!("{version} kernel: {e}")))?;
+        let profile = stats
+            .profile
+            .take()
+            .expect("a successful bytecode launch returns its profile");
         if profile.total_charged != stats.instructions {
             return Err(Failure::new(
                 1,
@@ -1096,6 +1109,7 @@ fn cmd_fuzz(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure
         seed,
         cases,
         out_dir: Some(out_dir.clone().into()),
+        ..Default::default()
     };
     let summary = grover_fuzz::run_campaign(&opts, recorder.as_ref());
     if json {

@@ -14,16 +14,21 @@ use crate::spec::{KernelSpec, ALL_POISONS};
 use grover_core::Sequence;
 use grover_obs::json::{array, Obj};
 use grover_obs::{Recorder, SpanGuard};
+use grover_runtime::fault::Faults;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Campaign parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CampaignOptions {
     pub seed: u64,
     pub cases: u64,
     /// Where shrunk reproducers are written; `None` disables writing.
     pub out_dir: Option<PathBuf>,
+    /// The fault plan every oracle launch carries (empty by default, and
+    /// always empty and zero-sized without the runtime's
+    /// `fault-injection` feature).
+    pub faults: Faults,
 }
 
 /// One failed case, after shrinking.
@@ -184,7 +189,7 @@ pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
                 .join(";")
                 .as_str(),
         );
-        let outcome = check_spec_seqs(&spec, &seqs);
+        let outcome = check_spec_seqs(&spec, &seqs, &opts.faults);
         match outcome.failure() {
             None => {
                 if spec.poison.is_none() {
@@ -200,9 +205,12 @@ pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
                 // re-derive the detail from the minimized spec.
                 let kind = f.kind;
                 let (min, steps) = shrink(&spec, |s| {
-                    check_spec_seqs(s, &seqs).failure().map(|f| f.kind) == Some(kind)
+                    check_spec_seqs(s, &seqs, &opts.faults)
+                        .failure()
+                        .map(|f| f.kind)
+                        == Some(kind)
                 });
-                let detail = check_spec_seqs(&min, &seqs)
+                let detail = check_spec_seqs(&min, &seqs, &opts.faults)
                     .failure()
                     .map(|f| f.detail.clone())
                     .unwrap_or_else(|| f.detail.clone());
@@ -250,6 +258,7 @@ mod tests {
             seed: 7,
             cases: 20,
             out_dir: None,
+            ..CampaignOptions::default()
         };
         let a = run_campaign(&opts, &NOOP);
         assert!(a.ok(), "{}", a.to_text());
@@ -281,6 +290,7 @@ mod tests {
             seed: 3,
             cases: 5,
             out_dir: None,
+            ..CampaignOptions::default()
         };
         run_campaign(&opts, &rec);
         let snap = rec.snapshot();
@@ -304,6 +314,7 @@ mod tests {
                 seed: 1,
                 cases: 5,
                 out_dir: None,
+                ..CampaignOptions::default()
             },
             &NOOP,
         );

@@ -20,9 +20,8 @@ use grover_core::{apply_sequence, Grover, GroverOptions, PassId, Sequence};
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::printer::function_to_string;
 use grover_ir::Function;
-use grover_runtime::{
-    enqueue_with_backend, ArgValue, Backend, Context, ExecPolicy, Limits, NdRange, NullSink,
-};
+use grover_runtime::fault::Faults;
+use grover_runtime::{enqueue, ArgValue, Backend, Context, ExecPolicy, Launch, NdRange, NullSink};
 
 /// What a kernel is expected to do under the pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -144,13 +143,12 @@ fn nd_range(shape: &ExecShape) -> NdRange {
 pub fn run_kernel(
     kernel: &Function,
     shape: &ExecShape,
-    policy: ExecPolicy,
-    backend: Backend,
+    launch: &Launch,
 ) -> Result<Vec<f32>, String> {
     let mut ctx = Context::new();
     let bi = ctx.buffer_f32(&deterministic_input(shape.in_len));
     let bo = ctx.zeros_f32(shape.out_len);
-    enqueue_with_backend(
+    enqueue(
         &mut ctx,
         kernel,
         &[
@@ -160,9 +158,7 @@ pub fn run_kernel(
         ],
         &nd_range(shape),
         &mut NullSink,
-        &Limits::default(),
-        policy,
-        backend,
+        launch,
     )
     .map_err(|e| e.to_string())?;
     Ok(ctx.read_f32(bo).to_vec())
@@ -181,19 +177,21 @@ fn first_bit_diff(a: &[f32], b: &[f32]) -> Option<usize> {
 /// schedules) vs both kernels on the bytecode engine, all bit-exact.
 /// Reject cases are never executed.
 pub fn check_source(src: &str, expect: &Expectation, shape: Option<&ExecShape>) -> CaseOutcome {
-    check_source_seqs(src, expect, shape, &[])
+    check_source_seqs(src, expect, shape, &[], &Faults::default())
 }
 
 /// [`check_source`] plus extra *sequence legs*: each sequence in
 /// `seqs` is applied to a fresh copy of the original kernel and must agree
 /// bit-exactly with the interpreter baseline under both schedules
 /// (transform cases) or leave the IR byte-identical (reject cases — every
-/// cleanup pass gates on a removal actually happening).
+/// cleanup pass gates on a removal actually happening). Every launch
+/// carries `faults`.
 pub fn check_source_seqs(
     src: &str,
     expect: &Expectation,
     shape: Option<&ExecShape>,
     seqs: &[Sequence],
+    faults: &Faults,
 ) -> CaseOutcome {
     let module = match compile(src, &BuildOptions::new()) {
         Ok(m) => m,
@@ -277,9 +275,15 @@ pub fn check_source_seqs(
                 );
             };
             let policies = [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 2 }];
+            let on = |policy, backend| Launch {
+                policy,
+                backend,
+                faults: faults.clone(),
+                ..Launch::default()
+            };
             let mut reference: Option<Vec<f32>> = None;
             for policy in policies {
-                let orig = match run_kernel(original, shape, policy, Backend::Interp) {
+                let orig = match run_kernel(original, shape, &on(policy, Backend::Interp)) {
                     Ok(v) => v,
                     Err(e) => {
                         return fail(
@@ -288,7 +292,7 @@ pub fn check_source_seqs(
                         )
                     }
                 };
-                let trans = match run_kernel(&transformed, shape, policy, Backend::Interp) {
+                let trans = match run_kernel(&transformed, shape, &on(policy, Backend::Interp)) {
                     Ok(v) => v,
                     Err(e) => {
                         return fail(
@@ -323,8 +327,9 @@ pub fn check_source_seqs(
             // Third leg: re-execute both kernels on the production bytecode
             // engine and demand bit-identity with the interpreter reference.
             let reference = reference.expect("policies is non-empty");
+            let bytecode = on(ExecPolicy::Serial, Backend::Bytecode);
             for (which, kernel) in [("original", original), ("transformed", &transformed)] {
-                let alt = match run_kernel(kernel, shape, ExecPolicy::Serial, Backend::Bytecode) {
+                let alt = match run_kernel(kernel, shape, &bytecode) {
                     Ok(v) => v,
                     Err(e) => {
                         return fail(FailureKind::ExecError, format!("{which} (bytecode): {e}"))
@@ -353,7 +358,7 @@ pub fn check_source_seqs(
                     );
                 }
                 for policy in policies {
-                    let out = match run_kernel(&seq_kernel, shape, policy, Backend::Interp) {
+                    let out = match run_kernel(&seq_kernel, shape, &on(policy, Backend::Interp)) {
                         Ok(v) => v,
                         Err(e) => {
                             return fail(
@@ -393,13 +398,20 @@ pub fn expectation_of(spec: &KernelSpec) -> Expectation {
 
 /// Render and judge a spec.
 pub fn check_spec(spec: &KernelSpec) -> CaseOutcome {
-    check_spec_seqs(spec, &[])
+    check_spec_seqs(spec, &[], &Faults::default())
 }
 
-/// [`check_spec`] with extra sequence legs (see [`check_source_seqs`]).
-pub fn check_spec_seqs(spec: &KernelSpec, seqs: &[Sequence]) -> CaseOutcome {
+/// [`check_spec`] with extra sequence legs and a fault plan (see
+/// [`check_source_seqs`]).
+pub fn check_spec_seqs(spec: &KernelSpec, seqs: &[Sequence], faults: &Faults) -> CaseOutcome {
     let shape = spec.exec_shape();
-    check_source_seqs(&spec.render(), &expectation_of(spec), Some(&shape), seqs)
+    check_source_seqs(
+        &spec.render(),
+        &expectation_of(spec),
+        Some(&shape),
+        seqs,
+        faults,
+    )
 }
 
 #[cfg(test)]
@@ -532,7 +544,7 @@ mod tests {
         .iter()
         .map(|s| grover_core::Sequence::parse(s).unwrap())
         .collect();
-        let out = check_spec_seqs(&spec, &seqs);
+        let out = check_spec_seqs(&spec, &seqs, &Faults::default());
         assert!(matches!(out, CaseOutcome::Transformed), "{out:?}");
     }
 
@@ -540,7 +552,7 @@ mod tests {
     fn sequence_legs_leave_rejected_kernels_untouched() {
         let spec = KernelSpec::random(&mut Gen::new(5), Some(ALL_POISONS[0]));
         let seqs = vec![grover_core::Sequence::tuned_pipeline()];
-        let out = check_spec_seqs(&spec, &seqs);
+        let out = check_spec_seqs(&spec, &seqs, &Faults::default());
         assert!(matches!(out, CaseOutcome::Rejected), "{out:?}");
     }
 

@@ -22,6 +22,7 @@
 use crate::oracle::{check_source_seqs, CaseOutcome, Expectation};
 use crate::spec::ExecShape;
 use grover_core::Sequence;
+use grover_runtime::fault::Faults;
 use std::path::Path;
 
 /// Parsed `// fuzz:` header.
@@ -130,10 +131,11 @@ pub fn parse_directives(src: &str) -> Result<Directives, String> {
     })
 }
 
-/// Replay one corpus kernel source. `Err` carries the failure description.
-pub fn replay_source(src: &str) -> Result<(), String> {
+/// Replay one corpus kernel source, every launch carrying `faults`. `Err`
+/// carries the failure description.
+pub fn replay_source(src: &str, faults: &Faults) -> Result<(), String> {
     let d = parse_directives(src)?;
-    match check_source_seqs(src, &d.expect, d.shape.as_ref(), &d.sequences) {
+    match check_source_seqs(src, &d.expect, d.shape.as_ref(), &d.sequences, faults) {
         CaseOutcome::Transformed | CaseOutcome::Rejected => Ok(()),
         CaseOutcome::Failed(f) => Err(format!("{}: {}", f.kind.name(), f.detail)),
     }
@@ -161,7 +163,7 @@ pub fn replay_dir(dir: &Path) -> Vec<(String, Result<(), String>)> {
                 .unwrap_or_default();
             let res = std::fs::read_to_string(&p)
                 .map_err(|e| format!("read: {e}"))
-                .and_then(|src| replay_source(&src));
+                .and_then(|src| replay_source(&src, &Faults::default()));
             (name, res)
         })
         .collect()
@@ -180,7 +182,8 @@ mod tests {
         for seed in [0u64, 5, 9, 21] {
             let spec = KernelSpec::random(&mut Gen::new(seed), None);
             let src = spec.render();
-            replay_source(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
+            replay_source(&src, &Faults::default())
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
         }
     }
 
@@ -200,7 +203,7 @@ mod tests {
         let d = parse_directives(&src).unwrap();
         assert_eq!(d.sequences.len(), 2);
         assert_eq!(d.sequences[0].spec(), "local-removal,barrier-elim,remap");
-        replay_source(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        replay_source(&src, &Faults::default()).unwrap_or_else(|e| panic!("{e}\n{src}"));
         // An illegal sequence is a parse error, not a silent skip.
         let bad = format!("{src}// fuzz: passes=barrier-elim\n");
         assert!(parse_directives(&bad).is_err());

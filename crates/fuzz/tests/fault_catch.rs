@@ -5,12 +5,12 @@
 //! (c) the reproducer keeps failing while the bug exists and passes once
 //! it is gone.
 //!
-//! Single-test file on purpose: the fault registry is process-global, so
-//! this must not share a test binary with campaigns that expect clean runs.
+//! The plan travels in the campaign's options and the replay's argument,
+//! so it reaches only the launches of this test.
 
 use grover_fuzz::{replay_source, run_campaign, CampaignOptions, FailureKind};
 use grover_obs::NOOP;
-use grover_runtime::fault::{self, FaultKind, FaultPlan, FaultSite, FaultTarget};
+use grover_runtime::fault::{FaultKind, FaultPlan, FaultSite, FaultTarget, Faults};
 use std::path::PathBuf;
 
 #[test]
@@ -21,7 +21,7 @@ fn injected_index_offset_bug_is_caught_and_shrunk() {
     // Offset every global load of local-memory-free kernels by one element:
     // a stand-in for an off-by-one in the pass's index rewrite. Originals
     // still use local memory, so only the transformed side is hit.
-    let guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("fz"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::OffsetGlobalLoads(1),
@@ -32,6 +32,7 @@ fn injected_index_offset_bug_is_caught_and_shrunk() {
         seed: 42,
         cases: 25,
         out_dir: Some(out_dir.clone()),
+        faults: faults.clone(),
     };
     let summary = run_campaign(&opts, &NOOP);
 
@@ -58,12 +59,13 @@ fn injected_index_offset_bug_is_caught_and_shrunk() {
         assert!(path.exists());
     }
 
-    // While the bug is installed, a written reproducer replays as failing…
+    // With the bug in place, a written reproducer replays as failing…
     let repro = std::fs::read_to_string(summary.failures[0].reproducer.as_ref().unwrap()).unwrap();
-    let err = replay_source(&repro).expect_err("reproducer must fail while the bug exists");
+    let err =
+        replay_source(&repro, &faults).expect_err("reproducer must fail while the bug exists");
     assert!(err.contains("mismatch"), "{err}");
 
-    // …and once the bug is fixed (guard dropped), the same file passes.
-    drop(guard);
-    replay_source(&repro).expect("reproducer passes after the fault is removed");
+    // …and once the bug is fixed (no plan), the same file passes.
+    replay_source(&repro, &Faults::default())
+        .expect("reproducer passes after the fault is removed");
 }

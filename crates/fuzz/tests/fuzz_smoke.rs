@@ -11,6 +11,7 @@ fn campaign_seed_42_is_clean() {
             seed: 42,
             cases: 100,
             out_dir: None,
+            ..CampaignOptions::default()
         },
         &NOOP,
     );

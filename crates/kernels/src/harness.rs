@@ -4,10 +4,7 @@
 use grover_core::{Grover, GroverReport};
 use grover_frontend::compile;
 use grover_ir::Function;
-use grover_obs::{Recorder, SpanId};
-use grover_runtime::{
-    enqueue_observed, enqueue_with_policy, Context, ExecPolicy, LaunchStats, Limits, TraceSink,
-};
+use grover_runtime::{enqueue, Context, Launch, LaunchStats, TraceSink};
 
 use crate::apps::{App, Expected, Prepared, Scale};
 
@@ -75,52 +72,26 @@ pub fn run_prepared(
     prepared: Prepared,
     sink: &mut dyn TraceSink,
 ) -> Result<AppRun, String> {
-    run_prepared_with(kernel, prepared, sink, ExecPolicy::Serial)
+    run_prepared_with(kernel, prepared, sink, &Launch::default())
 }
 
-/// [`run_prepared`] under an explicit work-group schedule.
+/// [`run_prepared`] under an explicit [`Launch`]: a work-group schedule,
+/// and with an enabled recorder one `launch` span carrying per-space
+/// access counts, bytes and worker utilisation (see
+/// [`grover_runtime::enqueue`]).
 pub fn run_prepared_with(
     kernel: &Function,
     mut prepared: Prepared,
     sink: &mut dyn TraceSink,
-    policy: ExecPolicy,
+    launch: &Launch,
 ) -> Result<AppRun, String> {
-    let stats = enqueue_with_policy(
+    let stats = enqueue(
         &mut prepared.ctx,
         kernel,
         &prepared.args,
         &prepared.nd,
         sink,
-        &Limits::default(),
-        policy,
-    )
-    .map_err(|e| format!("execution failed: {e}"))?;
-    finish_run(prepared, stats)
-}
-
-/// [`run_prepared_with`] with telemetry: the launch records one `launch`
-/// span on `recorder` (under `parent`, if given) carrying per-space access
-/// counts, bytes and worker utilisation — see
-/// [`grover_runtime::enqueue_observed`]. With a disabled recorder this is
-/// exactly `run_prepared_with`.
-pub fn run_prepared_observed(
-    kernel: &Function,
-    mut prepared: Prepared,
-    sink: &mut dyn TraceSink,
-    policy: ExecPolicy,
-    recorder: &dyn Recorder,
-    parent: Option<SpanId>,
-) -> Result<AppRun, String> {
-    let stats = enqueue_observed(
-        &mut prepared.ctx,
-        kernel,
-        &prepared.args,
-        &prepared.nd,
-        sink,
-        &Limits::default(),
-        policy,
-        recorder,
-        parent,
+        launch,
     )
     .map_err(|e| format!("execution failed: {e}"))?;
     finish_run(prepared, stats)

@@ -26,8 +26,7 @@ pub mod harness;
 
 pub use apps::{all_apps, app_by_id, extension_apps, App, Expected, Prepared, Scale};
 pub use harness::{
-    prepare_pair, run_prepared, run_prepared_observed, run_prepared_with, validate_app, AppRun,
-    KernelPair,
+    prepare_pair, run_prepared, run_prepared_with, validate_app, AppRun, KernelPair,
 };
 
 #[cfg(test)]

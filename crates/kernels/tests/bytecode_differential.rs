@@ -9,7 +9,8 @@ use grover_kernels::{
     all_apps, extension_apps, prepare_pair, run_prepared, App, Expected, Prepared, Scale,
 };
 use grover_runtime::{
-    Backend, CountingSink, ExecError, ExecPolicy, LaunchStats, Limits, NullSink, OpProfile,
+    enqueue, Backend, CountingSink, ExecError, ExecPolicy, Launch, LaunchStats, Limits, NullSink,
+    OpProfile,
 };
 
 /// Output buffer as raw bits, so float comparison is bit-exact rather than
@@ -53,8 +54,18 @@ fn launch(
         expected,
         ..
     } = (app.prepare)(Scale::Test);
-    let result = grover_runtime::enqueue_with_backend(
-        &mut ctx, kernel, &args, &nd, sink, limits, policy, backend,
+    let result = enqueue(
+        &mut ctx,
+        kernel,
+        &args,
+        &nd,
+        sink,
+        &Launch {
+            limits: *limits,
+            policy,
+            backend,
+            ..Launch::default()
+        },
     );
     let bits = match expected {
         Expected::I32(_) => Bits::I32(ctx.read_i32(out).to_vec()),
@@ -182,17 +193,20 @@ fn budget_limits(app: &App, kernel: &Function) -> Vec<u64> {
     let Prepared {
         mut ctx, args, nd, ..
     } = (app.prepare)(Scale::Test);
-    let (stats, profile): (LaunchStats, OpProfile) = grover_runtime::enqueue_profiled(
+    let stats = enqueue(
         &mut ctx,
         kernel,
         &args,
         &nd,
         &mut NullSink,
-        &Limits::default(),
-        ExecPolicy::Serial,
+        &Launch {
+            profile: true,
+            ..Launch::default()
+        },
     )
     .unwrap_or_else(|e| panic!("{}: {e}", app.id));
     let t = stats.instructions;
+    let profile: &OpProfile = stats.profile.as_ref().expect("a profiled launch");
     let phis: u64 = profile
         .ops
         .iter()

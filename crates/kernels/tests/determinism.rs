@@ -4,9 +4,7 @@
 //! `ExecPolicy::Serial`.
 
 use grover_kernels::{all_apps, prepare_pair, Scale};
-use grover_runtime::{
-    enqueue_with_policy, BufferData, ExecPolicy, LaunchStats, Limits, NullSink, VecSink,
-};
+use grover_runtime::{enqueue, BufferData, ExecPolicy, Launch, LaunchStats, NullSink, VecSink};
 
 /// Output buffer as raw bits, so the comparison is bit-exact even for f32.
 fn out_bits(p: &grover_kernels::Prepared) -> Vec<u64> {
@@ -24,14 +22,16 @@ fn launch(
 ) -> (LaunchStats, VecSink, Vec<u64>) {
     let mut prepared = (app.prepare)(Scale::Test);
     let mut sink = VecSink::default();
-    let stats = enqueue_with_policy(
+    let stats = enqueue(
         &mut prepared.ctx,
         kernel,
         &prepared.args,
         &prepared.nd,
         &mut sink,
-        &Limits::default(),
-        policy,
+        &Launch {
+            policy,
+            ..Launch::default()
+        },
     )
     .unwrap_or_else(|e| panic!("{} under {policy:?}: {e}", app.id));
     let bits = out_bits(&prepared);
@@ -100,14 +100,16 @@ fn parallel_null_sink_still_produces_identical_outputs() {
 
     let run = |policy| {
         let mut prepared = (app.prepare)(Scale::Test);
-        let stats = enqueue_with_policy(
+        let stats = enqueue(
             &mut prepared.ctx,
             &pair.original,
             &prepared.args,
             &prepared.nd,
             &mut NullSink,
-            &Limits::default(),
-            policy,
+            &Launch {
+                policy,
+                ..Launch::default()
+            },
         )
         .unwrap();
         (stats, out_bits(&prepared))

@@ -5,7 +5,7 @@
 //! bytecode engine itself and the reference interpreter.
 
 use grover_kernels::{all_apps, extension_apps, prepare_pair, App, Scale};
-use grover_runtime::{Backend, ExecPolicy, Limits, NullSink, OpProfile};
+use grover_runtime::{enqueue, Backend, ExecPolicy, Launch, NullSink, OpProfile};
 
 fn suite() -> Vec<App> {
     let mut apps = all_apps();
@@ -17,16 +17,22 @@ fn suite() -> Vec<App> {
 fn profile_one(app: &App, kernel: &grover_ir::Function, policy: ExecPolicy) -> (u64, OpProfile) {
     let p = (app.prepare)(Scale::Test);
     let mut ctx = p.ctx;
-    let (stats, profile) = grover_runtime::enqueue_profiled(
+    let stats = enqueue(
         &mut ctx,
         kernel,
         &p.args,
         &p.nd,
         &mut NullSink,
-        &Limits::default(),
-        policy,
+        &Launch {
+            policy,
+            profile: true,
+            ..Launch::default()
+        },
     )
     .unwrap_or_else(|e| panic!("{} [{:?}]: {e}", app.id, policy));
+    let profile = stats
+        .profile
+        .expect("a profiled launch returns its profile");
     (stats.instructions, profile)
 }
 
@@ -34,15 +40,16 @@ fn profile_one(app: &App, kernel: &grover_ir::Function, policy: ExecPolicy) -> (
 fn interp_instructions(app: &App, kernel: &grover_ir::Function) -> u64 {
     let p = (app.prepare)(Scale::Test);
     let mut ctx = p.ctx;
-    grover_runtime::enqueue_with_backend(
+    enqueue(
         &mut ctx,
         kernel,
         &p.args,
         &p.nd,
         &mut NullSink,
-        &Limits::default(),
-        ExecPolicy::Serial,
-        Backend::Interp,
+        &Launch {
+            backend: Backend::Interp,
+            ..Launch::default()
+        },
     )
     .unwrap_or_else(|e| panic!("{} [interp]: {e}", app.id))
     .instructions

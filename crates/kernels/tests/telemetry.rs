@@ -4,9 +4,9 @@
 //! versions. Wall-time and utilisation attributes are the only ones allowed
 //! to differ.
 
-use grover_kernels::{all_apps, prepare_pair, run_prepared_observed, Scale};
+use grover_kernels::{all_apps, prepare_pair, run_prepared_with, Scale};
 use grover_obs::{MemoryRecorder, Snapshot};
-use grover_runtime::{ExecPolicy, NullSink};
+use grover_runtime::{ExecPolicy, Launch, NullSink};
 
 /// The deterministic launch-span metrics (everything except wall time,
 /// worker count/utilisation and the policy tag).
@@ -37,8 +37,12 @@ fn observed_snapshot(
     policy: ExecPolicy,
 ) -> Snapshot {
     let rec = MemoryRecorder::new();
-    run_prepared_observed(kernel, prepared, &mut NullSink, policy, &rec, None)
-        .unwrap_or_else(|e| panic!("{e}"));
+    let launch = Launch {
+        policy,
+        recorder: &rec,
+        ..Launch::default()
+    };
+    run_prepared_with(kernel, prepared, &mut NullSink, &launch).unwrap_or_else(|e| panic!("{e}"));
     rec.snapshot()
 }
 

@@ -490,9 +490,9 @@ struct JsonlState<W> {
 /// Streams the trace as JSON Lines: one self-contained object per line.
 ///
 /// * spans (written at `span_end`):
-///   `{"type":"span","id":N,"parent":N|null,"name":"...","start_us":N,"dur_us":N,"attrs":{...}}`
+///   `{"type":"span","span_id":N,"name":"...","start_us":N,"dur_us":N,"trace_id":"..."|null,"parent_id":N|null,"attrs":{...}}`
 /// * events (written immediately):
-///   `{"type":"event","name":"...","span":N|null,"attrs":{...}}`
+///   `{"type":"event","name":"...","span_id":N|null,"trace_id":"..."|null,"attrs":{...}}`
 ///
 /// Every line carries `type`, `name` and `attrs` — the stable keys the CI
 /// trace validator checks. Write errors are swallowed: telemetry must
@@ -529,7 +529,6 @@ fn attrs_json(attrs: &[(String, Value)]) -> String {
 /// Shared with out-of-crate recorders (the serve flight recorder) so every
 /// JSONL surface stays byte-compatible. The returned string has no
 /// trailing newline.
-#[allow(clippy::too_many_arguments)]
 pub fn span_line(
     id: SpanId,
     name: &str,
@@ -541,7 +540,6 @@ pub fn span_line(
 ) -> String {
     let mut obj = json::Obj::new()
         .str("type", "span")
-        .u64("id", id)
         .u64("span_id", id)
         .str("name", name)
         .u64("start_us", start_us)
@@ -551,8 +549,8 @@ pub fn span_line(
         None => obj.null("trace_id"),
     };
     obj = match parent {
-        Some(p) => obj.u64("parent", p).u64("parent_id", p),
-        None => obj.null("parent").null("parent_id"),
+        Some(p) => obj.u64("parent_id", p),
+        None => obj.null("parent_id"),
     };
     obj.raw("attrs", &attrs_json(attrs)).finish()
 }
@@ -566,8 +564,8 @@ pub fn event_line(
 ) -> String {
     let mut obj = json::Obj::new().str("type", "event").str("name", name);
     obj = match span {
-        Some(p) => obj.u64("span", p).u64("span_id", p),
-        None => obj.null("span").null("span_id"),
+        Some(p) => obj.u64("span_id", p),
+        None => obj.null("span_id"),
     };
     obj = match trace {
         Some(t) => obj.str("trace_id", &t.to_hex()),
@@ -904,6 +902,11 @@ mod tests {
             let v = json::parse(line).unwrap();
             assert_eq!(v.str_of("trace_id"), Some(hex.as_str()), "{line}");
             assert!(v.get("span_id").is_some(), "{line}");
+            // Only the `_id` keys: the bare `id`/`parent`/`span` spellings
+            // are gone.
+            for old in ["id", "parent", "span"] {
+                assert!(v.get(old).is_none(), "`{old}` in {line}");
+            }
         }
         let spans: Vec<_> = out
             .lines()

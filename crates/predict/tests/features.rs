@@ -5,10 +5,9 @@
 //! and the counters themselves must be schedule-independent
 //! (serial ≡ parallel).
 
-use grover_kernels::{all_apps, extension_apps, prepare_pair, run_prepared_observed, App, Scale};
-use grover_obs::NoopRecorder;
+use grover_kernels::{all_apps, extension_apps, prepare_pair, run_prepared_with, App, Scale};
 use grover_predict::{schema_hash, FeatureVector, FEATURE_NAMES};
-use grover_runtime::{CountingSink, ExecPolicy};
+use grover_runtime::{CountingSink, ExecPolicy, Launch};
 
 /// The full 12-app suite: the 11 Table-I applications plus EXT-CONV.
 fn suite() -> Vec<App> {
@@ -22,15 +21,11 @@ fn observe(app: &App, policy: ExecPolicy) -> CountingSink {
     let pair = prepare_pair(app, Scale::Test).expect("suite app prepares");
     let prepared = (app.prepare)(Scale::Test);
     let mut sink = CountingSink::default();
-    run_prepared_observed(
-        &pair.original,
-        prepared,
-        &mut sink,
+    let launch = Launch {
         policy,
-        &NoopRecorder,
-        None,
-    )
-    .expect("suite app runs");
+        ..Launch::default()
+    };
+    run_prepared_with(&pair.original, prepared, &mut sink, &launch).expect("suite app runs");
     sink
 }
 

@@ -58,10 +58,11 @@ use crate::ExecError;
 /// Both engines produce bit-identical output buffers,
 /// [`LaunchStats`](crate::LaunchStats) and trace streams for verified
 /// kernels; `Bytecode` lowers the kernel once per launch and executes the
-/// lowered form in a tight dispatch loop. Every entry point that names no
-/// engine runs `Bytecode`. `Interp` is reachable only through
-/// [`crate::enqueue_with_backend`]: it is the reference oracle of the
-/// differential tests, the fuzzer and the `speedup` bench.
+/// lowered form in a tight dispatch loop. The default
+/// [`Launch`](crate::Launch) runs `Bytecode`; `Interp` runs only where a
+/// caller sets [`Launch::backend`](crate::Launch::backend): it is the
+/// reference oracle of the differential tests, the fuzzer and the
+/// `speedup` bench.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The tree-walking NDRange interpreter (the reference oracle).
@@ -1482,14 +1483,14 @@ pub(crate) fn run_group(
     launch.pool.check_deadline()?;
     #[cfg(feature = "fault-injection")]
     let corrupt_group = match &launch.fault {
-        Some(i) => crate::fault::group_hook(i, group_linear)?,
+        Some(i) => i.group_hook(group_linear)?,
         None => false,
     };
     #[cfg(not(feature = "fault-injection"))]
     let corrupt_group = false;
     #[cfg(feature = "fault-injection")]
     let load_offset = match &launch.fault {
-        Some(i) => crate::fault::load_offset(i, group_linear).unwrap_or(0),
+        Some(i) => i.load_offset(group_linear).unwrap_or(0),
         None => 0,
     };
     #[cfg(not(feature = "fault-injection"))]

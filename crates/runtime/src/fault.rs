@@ -1,38 +1,57 @@
-//! Deterministic fault injection for the launch and tuning pipeline
-//! (compiled only with the `fault-injection` cargo feature).
+//! Deterministic fault injection for the launch and tuning pipeline.
 //!
 //! A [`FaultPlan`] names a *target* (which kernels), a *site* (where inside
-//! a launch) and a *kind* (what goes wrong). Tests [`inject`] a plan, run
-//! the scenario, and drop the returned [`FaultGuard`]; the engine consults
-//! the active plan once per launch and at cheap, well-defined points, so
-//! every recovery path — panic isolation, the tuner's differential-output
-//! guard, the measurement watchdog and the retry loop — is deterministically
+//! a launch) and a *kind* (what goes wrong). [`Faults::new`] arms a plan
+//! into a cloneable handle that travels with the launches it should reach
+//! ([`crate::Launch::faults`], and the `faults` fields of the tuner, the
+//! server configuration and the fuzz campaign options that build those
+//! launches). A launch without the handle never sees the plan, however it
+//! overlaps in time with one that has it. The engine consults the plan
+//! once per launch and at cheap, well-defined points, so every recovery
+//! path — panic isolation, the tuner's differential-output guard, the
+//! measurement watchdog and the retry loop — is deterministically
 //! exercisable without special test-only builds of the interpreter core.
+//! [`IoFaultPlan`]s do the same for named persistence sites through
+//! [`IoFaults`].
 //!
-//! Without the feature the hooks compile away entirely; with the feature
-//! but no plan installed, the overhead is one `RwLock` read per launch.
+//! The plan types and the handle constructors exist only with the
+//! `fault-injection` cargo feature. Without it, [`Faults`] and
+//! [`IoFaults`] are zero-sized, `Default` (no plan) is their only
+//! constructor, and every hook compiles away.
 //!
 //! ```
-//! use grover_runtime::fault::{self, FaultKind, FaultPlan, FaultSite, FaultTarget};
+//! use grover_runtime::fault::{FaultKind, FaultPlan, FaultSite, FaultTarget, Faults};
+//! use grover_runtime::Launch;
 //!
-//! let _guard = fault::inject(FaultPlan {
-//!     target: FaultTarget::kernel("my_kernel"),
-//!     site: FaultSite::Group(2),
-//!     kind: FaultKind::Panic,
-//!     max_fires: 1,
-//! });
-//! // ... launches of `my_kernel` panic at work-group 2, exactly once ...
+//! let launch = Launch {
+//!     faults: Faults::new(FaultPlan {
+//!         target: FaultTarget::kernel("my_kernel"),
+//!         site: FaultSite::Group(2),
+//!         kind: FaultKind::Panic,
+//!         max_fires: 1,
+//!     }),
+//!     ..Launch::default()
+//! };
+//! // ... `enqueue(.., &launch)` of `my_kernel` panics at work-group 2,
+//! // exactly once; launches without this handle are untouched ...
+//! # let _ = launch;
 //! ```
 
+#[cfg(feature = "fault-injection")]
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+#[cfg(feature = "fault-injection")]
+use std::sync::Arc;
+#[cfg(feature = "fault-injection")]
 use std::time::Duration;
 
+#[cfg(feature = "fault-injection")]
 use grover_ir::Function;
 
+#[cfg(feature = "fault-injection")]
 use crate::ExecError;
 
 /// Which kernels a [`FaultPlan`] applies to. All set conditions must match.
+#[cfg(feature = "fault-injection")]
 #[derive(Clone, Debug, Default)]
 pub struct FaultTarget {
     /// Match kernels with this exact name (`None` = any name).
@@ -43,6 +62,7 @@ pub struct FaultTarget {
     pub local_mem_free: Option<bool>,
 }
 
+#[cfg(feature = "fault-injection")]
 impl FaultTarget {
     /// Every kernel.
     pub fn any() -> FaultTarget {
@@ -89,6 +109,7 @@ impl FaultTarget {
 }
 
 /// Where inside a launch the fault triggers.
+#[cfg(feature = "fault-injection")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSite {
     /// At launch entry, before any work-group runs (the panic propagates
@@ -106,6 +127,7 @@ pub enum FaultSite {
 }
 
 /// What happens when the fault triggers.
+#[cfg(feature = "fault-injection")]
 #[derive(Clone, Debug)]
 pub enum FaultKind {
     /// Panic — exercises panic isolation.
@@ -129,6 +151,7 @@ pub enum FaultKind {
 }
 
 /// A deterministic fault to inject into matching launches.
+#[cfg(feature = "fault-injection")]
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// Which kernels to hit.
@@ -142,24 +165,38 @@ pub struct FaultPlan {
     pub max_fires: u32,
 }
 
-/// An installed plan plus its fire counter.
+/// A plan plus the fire counter every clone of its handle shares.
+#[cfg(feature = "fault-injection")]
 #[derive(Debug)]
-pub(crate) struct Installed {
-    plan: FaultPlan,
+pub(crate) struct Armed<P> {
+    plan: P,
     fires: AtomicU32,
 }
 
-impl Installed {
-    /// Consume one fire; `false` once `max_fires` is exhausted.
-    fn arm(&self) -> bool {
-        if self.plan.max_fires == 0 {
-            return true;
-        }
-        self.fires.fetch_add(1, Ordering::Relaxed) < self.plan.max_fires
+#[cfg(feature = "fault-injection")]
+impl<P> Armed<P> {
+    fn new(plan: P) -> Arc<Armed<P>> {
+        Arc::new(Armed {
+            plan,
+            fires: AtomicU32::new(0),
+        })
     }
 
+    /// Consume one fire; `false` once `max_fires` (`0` = unlimited) is
+    /// spent.
+    fn take(&self, max_fires: u32) -> bool {
+        max_fires == 0 || self.fires.fetch_add(1, Ordering::Relaxed) < max_fires
+    }
+}
+
+/// The armed launch plan the engine consults.
+#[cfg(feature = "fault-injection")]
+pub(crate) type ArmedPlan = Armed<FaultPlan>;
+
+#[cfg(feature = "fault-injection")]
+impl ArmedPlan {
     fn fire(&self, where_: &str) -> Result<(), ExecError> {
-        if !self.arm() {
+        if !self.take(self.plan.max_fires) {
             return Ok(());
         }
         match &self.plan.kind {
@@ -174,100 +211,93 @@ impl Installed {
             FaultKind::CorruptStores | FaultKind::OffsetGlobalLoads(_) => Ok(()),
         }
     }
-}
 
-/// Only one plan may be active at a time; `inject` holds this lock for the
-/// guard's lifetime so concurrent tests serialise instead of clobbering
-/// each other's plans.
-static INJECT_LOCK: Mutex<()> = Mutex::new(());
-static ACTIVE: RwLock<Option<Arc<Installed>>> = RwLock::new(None);
+    /// Launch-entry hook. Returns whether stores of the whole launch
+    /// corrupt.
+    pub(crate) fn launch_hook(&self) -> Result<bool, ExecError> {
+        if self.plan.site != FaultSite::LaunchStart {
+            return Ok(false);
+        }
+        if matches!(self.plan.kind, FaultKind::CorruptStores) {
+            return Ok(true);
+        }
+        self.fire("launch start").map(|()| false)
+    }
 
-/// Keeps a [`FaultPlan`] active; dropping it uninstalls the plan.
-pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
-}
+    /// Group-start hook. Returns whether stores of this group corrupt.
+    pub(crate) fn group_hook(&self, group: u32) -> Result<bool, ExecError> {
+        let FaultSite::Group(g) = self.plan.site else {
+            return Ok(false);
+        };
+        if matches!(self.plan.kind, FaultKind::CorruptStores) {
+            return Ok(group >= g);
+        }
+        if group != g {
+            return Ok(false);
+        }
+        self.fire("group start").map(|()| false)
+    }
 
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = None;
+    /// Element offset applied to this group's global loads, if the plan
+    /// injects [`FaultKind::OffsetGlobalLoads`] covering this group.
+    pub(crate) fn load_offset(&self, group: u32) -> Option<i64> {
+        let FaultKind::OffsetGlobalLoads(n) = self.plan.kind else {
+            return None;
+        };
+        match self.plan.site {
+            FaultSite::LaunchStart => Some(n),
+            FaultSite::Group(g) if group >= g => Some(n),
+            _ => None,
+        }
+    }
+
+    /// Instruction countdown for a worker's budget, if the plan has an
+    /// instruction site.
+    pub(crate) fn instruction_trigger(&self) -> Option<u64> {
+        match self.plan.site {
+            // A zero countdown would never fire in the spend loop; fire on
+            // the first instruction instead.
+            FaultSite::Instruction(n) => Some(n.max(1)),
+            _ => None,
+        }
+    }
+
+    /// Instruction-site hook, called when a worker's countdown hits zero.
+    pub(crate) fn instruction_hook(&self) -> Result<(), ExecError> {
+        self.fire("instruction site")
     }
 }
 
-/// Install `plan` for the lifetime of the returned guard. Blocks while
-/// another guard is alive.
-pub fn inject(plan: FaultPlan) -> FaultGuard {
-    // A previous holder may have panicked (that is the point of this
-    // module); the data behind the lock is just a token, so poisoning
-    // carries no meaning here.
-    let lock = INJECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(Installed {
-        plan,
-        fires: AtomicU32::new(0),
-    }));
-    FaultGuard { _lock: lock }
+/// The launch fault plan a launch carries ([`crate::Launch::faults`]):
+/// a cloneable handle to one [`FaultPlan`] and its fire counter, or to no
+/// plan at all ([`Faults::default`]). Clones share the counter, so a
+/// `max_fires` budget is spent across every launch holding the handle.
+///
+/// Without the `fault-injection` feature the handle is zero-sized and
+/// `Default` is its only constructor.
+#[derive(Clone, Debug, Default)]
+pub struct Faults {
+    #[cfg(feature = "fault-injection")]
+    armed: Option<Arc<ArmedPlan>>,
 }
 
-/// The active plan, if it targets `kernel`. Resolved once per launch.
-pub(crate) fn for_kernel(kernel: &Function) -> Option<Arc<Installed>> {
-    let active = ACTIVE.read().unwrap_or_else(|e| e.into_inner());
-    active
-        .as_ref()
-        .filter(|i| i.plan.target.matches(kernel))
-        .cloned()
-}
+impl Faults {
+    /// Arm `plan` for the launches this handle (and its clones) reach.
+    #[cfg(feature = "fault-injection")]
+    pub fn new(plan: FaultPlan) -> Faults {
+        Faults {
+            armed: Some(Armed::new(plan)),
+        }
+    }
 
-/// Launch-entry hook. Returns whether stores of the whole launch corrupt.
-pub(crate) fn launch_hook(inst: &Installed) -> Result<bool, ExecError> {
-    if inst.plan.site != FaultSite::LaunchStart {
-        return Ok(false);
+    /// The plan, if it targets `kernel`. Resolved once per launch.
+    #[cfg(feature = "fault-injection")]
+    pub(crate) fn for_kernel(&self, kernel: &Function) -> Option<Arc<ArmedPlan>> {
+        self.armed
+            .as_ref()
+            .filter(|a| a.plan.target.matches(kernel))
+            .cloned()
     }
-    if matches!(inst.plan.kind, FaultKind::CorruptStores) {
-        return Ok(true);
-    }
-    inst.fire("launch start").map(|()| false)
-}
-
-/// Group-start hook. Returns whether stores of this group corrupt.
-pub(crate) fn group_hook(inst: &Installed, group: u32) -> Result<bool, ExecError> {
-    let FaultSite::Group(g) = inst.plan.site else {
-        return Ok(false);
-    };
-    if matches!(inst.plan.kind, FaultKind::CorruptStores) {
-        return Ok(group >= g);
-    }
-    if group != g {
-        return Ok(false);
-    }
-    inst.fire("group start").map(|()| false)
-}
-
-/// Element offset applied to this group's global loads, if the active plan
-/// injects [`FaultKind::OffsetGlobalLoads`] covering this group.
-pub(crate) fn load_offset(inst: &Installed, group: u32) -> Option<i64> {
-    let FaultKind::OffsetGlobalLoads(n) = inst.plan.kind else {
-        return None;
-    };
-    match inst.plan.site {
-        FaultSite::LaunchStart => Some(n),
-        FaultSite::Group(g) if group >= g => Some(n),
-        _ => None,
-    }
-}
-
-/// Instruction countdown for a worker's budget, if the plan has an
-/// instruction site.
-pub(crate) fn instruction_trigger(inst: &Installed) -> Option<u64> {
-    match inst.plan.site {
-        // A zero countdown would never fire in the spend loop; fire on the
-        // first instruction instead.
-        FaultSite::Instruction(n) => Some(n.max(1)),
-        _ => None,
-    }
-}
-
-/// Instruction-site hook, called when a worker's countdown hits zero.
-pub(crate) fn instruction_hook(inst: &Installed) -> Result<(), ExecError> {
-    inst.fire("instruction site")
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +305,7 @@ pub(crate) fn instruction_hook(inst: &Installed) -> Result<(), ExecError> {
 // persistence code to prove crash-safety without a real crash.
 
 /// What goes wrong at an I/O fault site.
+#[cfg(feature = "fault-injection")]
 #[derive(Clone, Debug)]
 pub enum IoFaultKind {
     /// The operation fails outright with an `std::io::Error` carrying this
@@ -289,8 +320,9 @@ pub enum IoFaultKind {
 ///
 /// Unlike [`FaultPlan`], which targets kernel launches, an [`IoFaultPlan`]
 /// targets persistence operations by site name (e.g. `"journal.append"`,
-/// `"journal.fsync"`). The two plan kinds use independent slots, so a test
-/// can fail the tuner *and* the journal at once.
+/// `"journal.fsync"`); it travels in an [`IoFaults`] handle, separate from
+/// the launch plan's [`Faults`].
+#[cfg(feature = "fault-injection")]
 #[derive(Clone, Debug)]
 pub struct IoFaultPlan {
     /// The site name the consuming code passes to [`io_fault`].
@@ -301,55 +333,54 @@ pub struct IoFaultPlan {
     pub max_fires: u32,
 }
 
-struct InstalledIo {
-    plan: IoFaultPlan,
-    fires: AtomicU32,
-}
-
-static IO_INJECT_LOCK: Mutex<()> = Mutex::new(());
-static IO_ACTIVE: RwLock<Option<Arc<InstalledIo>>> = RwLock::new(None);
-
-/// Keeps an [`IoFaultPlan`] active; dropping it uninstalls the plan.
-pub struct IoFaultGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for IoFaultGuard {
-    fn drop(&mut self) {
-        *IO_ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-/// Install `plan` for the lifetime of the returned guard. Blocks while
-/// another I/O guard is alive (kernel-launch plans are unaffected).
-pub fn inject_io(plan: IoFaultPlan) -> IoFaultGuard {
-    let lock = IO_INJECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    *IO_ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(InstalledIo {
-        plan,
-        fires: AtomicU32::new(0),
-    }));
-    IoFaultGuard { _lock: lock }
-}
-
-/// Consult the active I/O plan at `site`.
+/// The I/O fault plan persistence code carries: a cloneable handle to one
+/// [`IoFaultPlan`] and its fire counter, or to no plan at all
+/// ([`IoFaults::default`]). Clones share the counter.
 ///
-/// * `Ok(None)` — no fault: perform the operation normally.
-/// * `Ok(Some(n))` — torn write: persist only the first `n` payload bytes,
-///   then report failure.
-/// * `Err(e)` — short-circuit: fail without touching the file.
-pub fn io_fault(site: &str) -> Result<Option<usize>, std::io::Error> {
-    let active = IO_ACTIVE.read().unwrap_or_else(|e| e.into_inner());
-    let Some(inst) = active.as_ref().filter(|i| i.plan.site == site) else {
-        return Ok(None);
-    };
-    if inst.plan.max_fires != 0 && inst.fires.fetch_add(1, Ordering::Relaxed) >= inst.plan.max_fires
-    {
-        return Ok(None);
+/// Without the `fault-injection` feature the handle is zero-sized,
+/// `Default` is its only constructor and [`IoFaults::fire`] always
+/// answers "no fault".
+#[derive(Clone, Debug, Default)]
+pub struct IoFaults {
+    #[cfg(feature = "fault-injection")]
+    armed: Option<Arc<Armed<IoFaultPlan>>>,
+}
+
+impl IoFaults {
+    /// Arm `plan` for the persistence code this handle (and its clones)
+    /// reach.
+    #[cfg(feature = "fault-injection")]
+    pub fn new(plan: IoFaultPlan) -> IoFaults {
+        IoFaults {
+            armed: Some(Armed::new(plan)),
+        }
     }
-    match &inst.plan.kind {
-        IoFaultKind::Error(msg) => Err(std::io::Error::other(format!(
-            "fault-injection: {msg} (site {site})"
-        ))),
-        IoFaultKind::Torn(n) => Ok(Some(*n)),
+
+    /// Consult the plan at `site`.
+    ///
+    /// * `Ok(None)` — no fault: perform the operation normally.
+    /// * `Ok(Some(n))` — torn write: persist only the first `n` payload
+    ///   bytes, then report failure.
+    /// * `Err(e)` — short-circuit: fail without touching the file.
+    #[inline]
+    pub fn fire(&self, site: &str) -> Result<Option<usize>, std::io::Error> {
+        #[cfg(feature = "fault-injection")]
+        if let Some(a) = self.armed.as_ref().filter(|a| a.plan.site == site) {
+            if a.take(a.plan.max_fires) {
+                return match &a.plan.kind {
+                    IoFaultKind::Error(msg) => Err(std::io::Error::other(format!(
+                        "fault-injection: {msg} (site {site})"
+                    ))),
+                    IoFaultKind::Torn(n) => Ok(Some(*n)),
+                };
+            }
+        }
+        #[cfg(not(feature = "fault-injection"))]
+        let _ = site;
+        Ok(None)
     }
 }
+
+// Production builds carry the handles for free.
+#[cfg(not(feature = "fault-injection"))]
+const _: () = assert!(std::mem::size_of::<Faults>() == 0 && std::mem::size_of::<IoFaults>() == 0);

@@ -6,7 +6,7 @@
 //! Work-groups of one launch are independent (OpenCL gives no ordering or
 //! synchronisation between groups), so the engine can execute them either
 //! serially on the calling thread or partitioned across a pool of worker
-//! threads — see [`ExecPolicy`] and [`enqueue_with_policy`]. Both schedules
+//! threads — see [`ExecPolicy`] and [`Launch::policy`]. Both schedules
 //! produce bit-identical output buffers, [`LaunchStats`] and trace streams.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,9 +17,11 @@ use grover_ir::{
     AddressSpace, BinOp, BlockId, Builtin, CastKind, CmpPred, ConstVal, Function, Inst, Scalar,
     Type, ValueDef, ValueId,
 };
+use grover_obs::{Recorder, SpanId, NOOP};
 
 use crate::buffer::{Buffer, BufferData, Context, GlobalMem};
 use crate::bytecode::{self, Backend};
+use crate::fault::Faults;
 use crate::trace::{AccessEvent, TraceOp, TraceSink};
 use crate::val::{PtrVal, Val};
 use crate::ExecError;
@@ -107,7 +109,7 @@ pub enum ArgValue {
 }
 
 /// Aggregate statistics of one launch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Total IR instructions executed.
     pub instructions: u64,
@@ -117,6 +119,9 @@ pub struct LaunchStats {
     pub work_items: u64,
     /// Work-groups run.
     pub work_groups: u64,
+    /// The per-opcode profile, for a successful bytecode launch with
+    /// [`Launch::profile`] set.
+    pub profile: Option<bytecode::OpProfile>,
 }
 
 /// Execution limits.
@@ -190,8 +195,8 @@ impl ExecPolicy {
     }
 }
 
-/// Per-worker execution statistics, collected only by the observed launch
-/// path ([`crate::obs::enqueue_observed`] with an enabled recorder). The
+/// Per-worker execution statistics, collected only by an observed launch
+/// ([`enqueue`] with an enabled [`Launch::recorder`]). The
 /// serial engine reports itself as a single worker.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerStat {
@@ -276,7 +281,7 @@ pub(crate) struct LocalBudget<'a> {
     chunk: u64,
     /// Injected instruction-site fault: countdown and plan.
     #[cfg(feature = "fault-injection")]
-    fault: Option<(u64, std::sync::Arc<crate::fault::Installed>)>,
+    fault: Option<(u64, std::sync::Arc<crate::fault::ArmedPlan>)>,
 }
 
 impl<'a> LocalBudget<'a> {
@@ -289,7 +294,7 @@ impl<'a> LocalBudget<'a> {
             fault: launch
                 .fault
                 .as_ref()
-                .and_then(|i| crate::fault::instruction_trigger(i).map(|n| (n, i.clone()))),
+                .and_then(|i| i.instruction_trigger().map(|n| (n, i.clone()))),
         }
     }
 
@@ -301,7 +306,7 @@ impl<'a> LocalBudget<'a> {
             if *countdown == 0 {
                 let inst = inst.clone();
                 self.fault = None;
-                crate::fault::instruction_hook(&inst)?;
+                inst.instruction_hook()?;
             }
         }
         if self.left == 0 {
@@ -382,7 +387,7 @@ pub(crate) struct LaunchCtx<'a> {
     pub(crate) corrupt_launch: bool,
     /// The fault plan matched against this launch's kernel, if any.
     #[cfg(feature = "fault-injection")]
-    pub(crate) fault: Option<std::sync::Arc<crate::fault::Installed>>,
+    pub(crate) fault: Option<std::sync::Arc<crate::fault::ArmedPlan>>,
 }
 
 /// Per-worker scratch reused across the groups that worker executes: the
@@ -464,126 +469,102 @@ fn delinearize(gl: usize, ng: [u64; 3]) -> [u64; 3] {
     [gl % ng[0], (gl / ng[0]) % ng[1], gl / (ng[0] * ng[1])]
 }
 
-/// Launch a kernel (the `clEnqueueNDRangeKernel` + `clFinish` pair),
-/// running work-groups serially on the calling thread.
+/// How to run one launch: everything [`enqueue`] needs besides the kernel,
+/// its arguments, the geometry and the trace sink. `Launch::default()` is
+/// the production launch: default [`Limits`], [`ExecPolicy::Serial`],
+/// [`Backend::Bytecode`], the no-op recorder, no profile and no faults.
+#[derive(Clone)]
+pub struct Launch<'a> {
+    /// Instruction budget and wall-clock deadline.
+    pub limits: Limits,
+    /// Work-group schedule.
+    pub policy: ExecPolicy,
+    /// Execution engine. [`Backend::Interp`] is the reference oracle of
+    /// the differential tests, the fuzzer and the `speedup` bench.
+    pub backend: Backend,
+    /// Telemetry sink. When it is enabled the launch records one `launch`
+    /// span (see [`enqueue`]); the default no-op recorder reads no clock
+    /// and wraps no sink.
+    pub recorder: &'a dyn Recorder,
+    /// Parent of the `launch` span (`None` = a root span).
+    pub parent: Option<SpanId>,
+    /// Collect a per-opcode profile into [`LaunchStats::profile`]
+    /// (bytecode engine only).
+    pub profile: bool,
+    /// The fault plan this launch consults; without the `fault-injection`
+    /// feature always empty and zero-sized.
+    pub faults: Faults,
+}
+
+impl Default for Launch<'_> {
+    fn default() -> Self {
+        Launch {
+            limits: Limits::default(),
+            policy: ExecPolicy::Serial,
+            backend: Backend::Bytecode,
+            recorder: &NOOP,
+            parent: None,
+            profile: false,
+            faults: Faults::default(),
+        }
+    }
+}
+
+/// Launch a kernel (the `clEnqueueNDRangeKernel` + `clFinish` pair).
+///
+/// See [`ExecPolicy`] for the determinism guarantees. On failure the error
+/// of the lowest-numbered failing group is returned (the same one the
+/// serial schedule would report), and the sink has observed the complete
+/// event streams of every group before it. Both engines produce
+/// bit-identical output buffers, [`LaunchStats`] and trace streams for
+/// well-formed kernels.
+///
+/// With [`Launch::profile`] set, a successful bytecode launch returns its
+/// per-opcode [`bytecode::OpProfile`] in [`LaunchStats::profile`]; its
+/// `total_charged` equals [`LaunchStats::instructions`], and it is
+/// bit-identical under both schedules.
+///
+/// With an enabled [`Launch::recorder`], the launch records one `launch`
+/// span under [`Launch::parent`]. Span attributes on success: `kernel`,
+/// `policy`, `workers`, the geometry (`work_groups`, `work_items`),
+/// `instructions`, `barriers`, per-space access counts (`global_loads`,
+/// `local_stores`, ...), per-space byte tallies (`global_bytes_loaded`,
+/// ...), totals (`bytes_loaded`, `bytes_stored`) and `wall_us`. On failure
+/// the metrics observed up to the error are still recorded, plus `error`.
+/// Each worker emits one `worker` event with `groups`, `busy_us`,
+/// `max_group_us` and `util` (busy time over launch wall time), and a
+/// profiled launch one `profile` event with `total_count`/`total_charged`
+/// plus `count.<kind>` and `charged.<kind>` per executed opcode kind.
 pub fn enqueue(
     ctx: &mut Context,
     kernel: &Function,
     args: &[ArgValue],
     nd: &NdRange,
     sink: &mut dyn TraceSink,
-    limits: &Limits,
+    launch: &Launch,
 ) -> Result<LaunchStats, ExecError> {
-    enqueue_with_policy(ctx, kernel, args, nd, sink, limits, ExecPolicy::Serial)
+    if launch.recorder.enabled() {
+        crate::obs::observed(ctx, kernel, args, nd, sink, launch)
+    } else {
+        enqueue_impl(ctx, kernel, args, nd, sink, launch, None)
+    }
 }
 
-/// Launch a kernel under an explicit scheduling [`ExecPolicy`] on the
-/// production (bytecode) engine.
-///
-/// See [`ExecPolicy`] for the determinism guarantees. On failure the error
-/// of the lowest-numbered failing group is returned (the same one the
-/// serial schedule would report), and the sink has observed the complete
-/// event streams of every group before it.
-pub fn enqueue_with_policy(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-) -> Result<LaunchStats, ExecError> {
-    enqueue_impl(
-        ctx,
-        kernel,
-        args,
-        nd,
-        sink,
-        limits,
-        policy,
-        Backend::Bytecode,
-        None,
-        None,
-    )
-}
-
-/// Launch a kernel under an explicit scheduling [`ExecPolicy`] and
-/// execution [`Backend`] — the one way to run the reference interpreter.
-///
-/// Both engines produce bit-identical output buffers, [`LaunchStats`] and
-/// trace streams for well-formed kernels; the bytecode engine merely
-/// executes a pre-lowered form of the kernel in a tighter dispatch loop.
-#[allow(clippy::too_many_arguments)]
-pub fn enqueue_with_backend(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-    backend: Backend,
-) -> Result<LaunchStats, ExecError> {
-    enqueue_impl(
-        ctx, kernel, args, nd, sink, limits, policy, backend, None, None,
-    )
-}
-
-/// Launch a kernel like [`enqueue_with_policy`] while collecting a
-/// per-opcode execution profile of its bytecode.
-///
-/// The profile's `total_charged` equals the launch's
-/// [`LaunchStats::instructions`] exactly. Counts are aggregated by plain
-/// addition across work-items and workers, so the profile is bit-identical
-/// under [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`].
-pub fn enqueue_profiled(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-) -> Result<(LaunchStats, bytecode::OpProfile), ExecError> {
-    let mut profile = None;
-    let stats = enqueue_impl(
-        ctx,
-        kernel,
-        args,
-        nd,
-        sink,
-        limits,
-        policy,
-        Backend::Bytecode,
-        None,
-        Some(&mut profile),
-    )?;
-    let profile = profile.expect("a successful bytecode launch writes its profile");
-    Ok((stats, profile))
-}
-
-/// The launch engine behind [`enqueue_with_policy`] and
-/// [`crate::obs::enqueue_observed`]. When `workers_out` is `Some`, each
-/// worker additionally times its group executions and pushes one
+/// The launch engine behind [`enqueue`]. When `workers_out` is `Some`,
+/// each worker additionally times its group executions and pushes one
 /// [`WorkerStat`] (the serial engine pushes exactly one); when `None` —
-/// the production path — no clock is read and no stat is kept. When
-/// `profile_out` is `Some` and the backend is [`Backend::Bytecode`], each
-/// worker counts op/edge executions into a private buffer; the buffers are
-/// merged and aggregated into an [`bytecode::OpProfile`] written through
-/// `profile_out` iff the launch succeeds. With the interpreter backend, or
-/// on any error, `profile_out` is left untouched.
-#[allow(clippy::too_many_arguments)]
+/// the production path — no clock is read and no stat is kept. With
+/// [`Launch::profile`] and the bytecode engine, each worker counts
+/// op/edge executions into a private buffer; the buffers are merged and
+/// aggregated into the result's profile iff the launch succeeds.
 pub(crate) fn enqueue_impl(
     ctx: &mut Context,
     kernel: &Function,
     args: &[ArgValue],
     nd: &NdRange,
     sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-    backend: Backend,
+    launch: &Launch,
     workers_out: Option<&mut Vec<WorkerStat>>,
-    profile_out: Option<&mut Option<bytecode::OpProfile>>,
 ) -> Result<LaunchStats, ExecError> {
     nd.validate()?;
     validate_args(ctx, kernel, args)?;
@@ -600,14 +581,15 @@ pub(crate) fn enqueue_impl(
         local_bases.push(off);
         off += lb.size_bytes();
     }
+    let (policy, backend, profile) = (launch.policy, launch.backend, launch.profile);
     #[cfg(feature = "fault-injection")]
-    let fault = crate::fault::for_kernel(kernel);
+    let fault = launch.faults.for_kernel(kernel);
     #[cfg(feature = "fault-injection")]
     let corrupt_launch = match &fault {
         // A launch-entry panic deliberately propagates out of `enqueue`:
         // it models a failure of the launching thread itself (e.g. one
         // side of a tuner race), not of a work-group worker.
-        Some(i) => crate::fault::launch_hook(i)?,
+        Some(i) => i.launch_hook()?,
         None => false,
     };
     #[cfg(not(feature = "fault-injection"))]
@@ -619,7 +601,7 @@ pub(crate) fn enqueue_impl(
         params,
         local_templ,
         local_bases,
-        pool: BudgetPool::new(limits),
+        pool: BudgetPool::new(&launch.limits),
         corrupt_launch,
         #[cfg(feature = "fault-injection")]
         fault,
@@ -645,7 +627,7 @@ pub(crate) fn enqueue_impl(
     if policy == ExecPolicy::Serial {
         let mut budget = LocalBudget::new(&launch, BUDGET_CHUNK);
         let mut scratch = AnyScratch::new(program.is_some());
-        let mut prof = if profile_out.is_some() {
+        let mut prof = if profile {
             program.map(bytecode::ProfBuf::for_program)
         } else {
             None
@@ -676,17 +658,14 @@ pub(crate) fn enqueue_impl(
         if let Some(out) = workers_out {
             out.push(wstat);
         }
-        if let Some(out) = profile_out {
-            if let (Some(buf), Some(p)) = (&prof, program) {
-                *out = Some(p.aggregate(buf));
-            }
+        if let (Some(buf), Some(p)) = (&prof, program) {
+            stats.profile = Some(p.aggregate(buf));
         }
         return Ok(stats);
     }
 
     let workers = policy.worker_count().clamp(1, n_groups);
     let wants_access = sink.wants_events();
-    let profile = profile_out.is_some();
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let launch_ref = &launch;
@@ -808,10 +787,8 @@ pub(crate) fn enqueue_impl(
             }
         }
     }
-    if let Some(out) = profile_out {
-        if let (Some(buf), Some(p)) = (&merged_prof, program) {
-            *out = Some(p.aggregate(buf));
-        }
+    if let (Some(buf), Some(p)) = (&merged_prof, program) {
+        stats.profile = Some(p.aggregate(buf));
     }
     Ok(stats)
 }
@@ -960,14 +937,14 @@ fn run_group(
     launch.pool.check_deadline()?;
     #[cfg(feature = "fault-injection")]
     let corrupt_group = match &launch.fault {
-        Some(i) => crate::fault::group_hook(i, group_linear)?,
+        Some(i) => i.group_hook(group_linear)?,
         None => false,
     };
     #[cfg(not(feature = "fault-injection"))]
     let corrupt_group = false;
     #[cfg(feature = "fault-injection")]
     let load_offset = match &launch.fault {
-        Some(i) => crate::fault::load_offset(i, group_linear).unwrap_or(0),
+        Some(i) => i.load_offset(group_linear).unwrap_or(0),
         None => 0,
     };
     #[cfg(not(feature = "fault-injection"))]

@@ -8,17 +8,20 @@
 //! * [`Context`] owns device buffers (`clCreateBuffer`-style).
 //! * [`enqueue`] launches a kernel over an [`NdRange`] with full work-group
 //!   semantics: work-items of a group execute serially between barriers and
-//!   rendezvous at each [`grover_ir::value::Inst::Barrier`].
-//! * [`enqueue_with_policy`] additionally chooses a work-group schedule
-//!   ([`ExecPolicy`]): serial, or partitioned across a pool of worker
-//!   threads with deterministic (group-linear) trace replay.
+//!   rendezvous at each [`grover_ir::value::Inst::Barrier`]. It is the one
+//!   launch entry point; a [`Launch`] carries everything else about the
+//!   launch — [`Limits`], the work-group schedule ([`ExecPolicy`]: serial,
+//!   or partitioned across a pool of worker threads with deterministic
+//!   group-linear trace replay), the engine ([`Backend`]), an optional
+//!   telemetry recorder and opcode profile, and the launch's own
+//!   [`fault::Faults`] plan.
 //! * Every memory access streams an [`AccessEvent`] into a [`TraceSink`];
 //!   the device simulator (`grover-devsim`) replays these events against
 //!   cache/scratch-pad models to estimate per-device performance.
 //!
 //! ```
 //! use grover_frontend::{compile, BuildOptions};
-//! use grover_runtime::{enqueue, ArgValue, Context, Limits, NdRange, NullSink};
+//! use grover_runtime::{enqueue, ArgValue, Context, Launch, NdRange, NullSink};
 //!
 //! let module = compile(
 //!     "__kernel void scale(__global float* a, float s) {
@@ -37,14 +40,13 @@
 //!     &[ArgValue::Buffer(buf), ArgValue::F32(2.0)],
 //!     &NdRange::d1(4, 2),
 //!     &mut NullSink,
-//!     &Limits::default(),
+//!     &Launch::default(),
 //! ).unwrap();
 //! assert_eq!(ctx.read_f32(buf), &[2.0, 4.0, 6.0, 8.0]);
 //! ```
 
 pub mod buffer;
 pub mod bytecode;
-#[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod interp;
 pub mod obs;
@@ -53,11 +55,7 @@ pub mod val;
 
 pub use buffer::{Buffer, BufferData, Context};
 pub use bytecode::{disassemble, Backend, BlockProfile, OpKindProfile, OpProfile};
-pub use interp::{
-    enqueue, enqueue_profiled, enqueue_with_backend, enqueue_with_policy, ArgValue, ExecPolicy,
-    LaunchStats, Limits, NdRange, WorkerStat,
-};
-pub use obs::{enqueue_observed, enqueue_observed_profiled};
+pub use interp::{enqueue, ArgValue, ExecPolicy, Launch, LaunchStats, Limits, NdRange, WorkerStat};
 pub use trace::{AccessEvent, CountingSink, NullSink, SpaceBytes, TraceOp, TraceSink, VecSink};
 pub use val::{PtrVal, Val};
 

@@ -1,20 +1,20 @@
-//! Observed kernel launches: [`enqueue_observed`] wraps the launch engine
-//! with a [`grover_obs::Recorder`] span carrying the launch's aggregate
-//! metrics — instructions, per-address-space access counts and bytes,
-//! geometry, wall time — plus one event per worker with its utilisation.
+//! Observed kernel launches: with an enabled [`crate::Launch::recorder`],
+//! [`crate::enqueue`] wraps the launch engine in a [`grover_obs::Recorder`]
+//! span carrying the launch's aggregate metrics — instructions,
+//! per-address-space access counts and bytes, geometry, wall time — plus
+//! one event per worker with its utilisation.
 //!
 //! With the recorder disabled (the default [`grover_obs::NoopRecorder`])
-//! the call forwards straight to the unobserved engine: no tee sink, no
-//! clock reads, no per-group timing — production pays nothing.
+//! `enqueue` never reaches this module: no tee sink, no clock reads, no
+//! per-group timing — production pays nothing.
 
 use std::time::Instant;
 
 use grover_ir::Function;
-use grover_obs::{Recorder, SpanId, Value};
+use grover_obs::Value;
 
 use crate::buffer::Context;
-use crate::bytecode::{Backend, OpProfile};
-use crate::interp::{enqueue_impl, ArgValue, ExecPolicy, LaunchStats, Limits, NdRange, WorkerStat};
+use crate::interp::{enqueue_impl, ArgValue, ExecPolicy, Launch, LaunchStats, NdRange, WorkerStat};
 use crate::trace::{AccessEvent, CountingSink, TraceSink};
 use crate::ExecError;
 
@@ -53,71 +53,19 @@ impl TraceSink for TeeSink<'_> {
     }
 }
 
-/// Launch a kernel like [`crate::enqueue_with_policy`], recording one
-/// `launch` span (under `parent`, if given) on `recorder`.
-///
-/// Span attributes on success: `kernel`, `policy`, `workers`, the geometry
-/// (`work_groups`, `work_items`), `instructions`, `barriers`, per-space
-/// access counts (`global_loads`, `local_stores`, ...), per-space byte
-/// tallies (`global_bytes_loaded`, ...), totals (`bytes_loaded`,
-/// `bytes_stored`) and `wall_us`. On failure the metrics observed up to
-/// the error are still recorded, plus `error`. Each worker additionally
-/// emits one `worker` event with `groups`, `busy_us`, `max_group_us` and
-/// `util` (busy time over launch wall time).
-#[allow(clippy::too_many_arguments)]
-pub fn enqueue_observed(
+/// [`crate::enqueue`] with an enabled recorder: the launch wrapped in a
+/// `launch` span carrying its aggregate metrics, one `worker` event per
+/// worker and, for a profiled launch, one `profile` event.
+pub(crate) fn observed(
     ctx: &mut Context,
     kernel: &Function,
     args: &[ArgValue],
     nd: &NdRange,
     sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-    recorder: &dyn Recorder,
-    parent: Option<SpanId>,
+    launch: &Launch,
 ) -> Result<LaunchStats, ExecError> {
-    enqueue_observed_profiled(
-        ctx, kernel, args, nd, sink, limits, policy, recorder, parent, None,
-    )
-}
-
-/// [`enqueue_observed`] with optional per-opcode profiling.
-///
-/// When `profile_out` is `Some`, a successful launch writes its
-/// [`OpProfile`] through `profile_out` and (when the recorder is enabled)
-/// emits one `profile` event on the launch span with
-/// `total_count`/`total_charged` plus `count.<kind>` and `charged.<kind>`
-/// attributes per executed opcode kind — the `profile` section tune spans
-/// carry. On a failed launch, `profile_out` is left as it was.
-#[allow(clippy::too_many_arguments)]
-pub fn enqueue_observed_profiled(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-    recorder: &dyn Recorder,
-    parent: Option<SpanId>,
-    profile_out: Option<&mut Option<OpProfile>>,
-) -> Result<LaunchStats, ExecError> {
-    if !recorder.enabled() {
-        return enqueue_impl(
-            ctx,
-            kernel,
-            args,
-            nd,
-            sink,
-            limits,
-            policy,
-            Backend::Bytecode,
-            None,
-            profile_out,
-        );
-    }
-
-    let span = recorder.span_start("launch", parent);
+    let (recorder, policy) = (launch.recorder, launch.policy);
+    let span = recorder.span_start("launch", launch.parent);
     recorder.span_attr(span, "kernel", Value::from(kernel.name.as_str()));
     let (policy_name, workers) = match policy {
         ExecPolicy::Serial => ("serial", 1),
@@ -131,7 +79,6 @@ pub fn enqueue_observed_profiled(
         counts: CountingSink::default(),
     };
     let mut worker_stats: Vec<WorkerStat> = Vec::new();
-    let mut profile: Option<OpProfile> = None;
     let t0 = Instant::now();
     let result = enqueue_impl(
         ctx,
@@ -139,11 +86,8 @@ pub fn enqueue_observed_profiled(
         args,
         nd,
         &mut tee,
-        limits,
-        policy,
-        Backend::Bytecode,
+        launch,
         Some(&mut worker_stats),
-        profile_out.is_some().then_some(&mut profile),
     );
     let wall = t0.elapsed();
 
@@ -212,7 +156,7 @@ pub fn enqueue_observed_profiled(
             ],
         );
     }
-    if let Some(p) = &profile {
+    if let Some(p) = result.as_ref().ok().and_then(|s| s.profile.as_ref()) {
         let mut attrs: Vec<(String, Value)> = vec![
             ("total_count".to_string(), Value::from(p.total_count)),
             ("total_charged".to_string(), Value::from(p.total_charged)),
@@ -224,9 +168,6 @@ pub fn enqueue_observed_profiled(
         let borrowed: Vec<(&str, Value)> =
             attrs.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
         recorder.event("profile", Some(span), &borrowed);
-    }
-    if let (Some(out), Some(p)) = (profile_out, profile) {
-        *out = Some(p);
     }
     recorder.span_end(span);
     result

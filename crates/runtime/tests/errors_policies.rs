@@ -9,7 +9,7 @@ use std::time::Duration;
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
 use grover_runtime::{
-    enqueue_with_policy, ArgValue, Context, ExecError, ExecPolicy, Limits, NdRange, NullSink,
+    enqueue, ArgValue, Context, ExecError, ExecPolicy, Launch, Limits, NdRange, NullSink,
 };
 
 fn kernel(src: &str) -> Function {
@@ -32,14 +32,17 @@ fn for_each_policy(
     for policy in POLICIES {
         let mut ctx = Context::new();
         let a = ctx.zeros_i32(8);
-        let res = enqueue_with_policy(
+        let res = enqueue(
             &mut ctx,
             k,
             &[ArgValue::Buffer(a)],
             nd,
             &mut NullSink,
-            limits,
-            policy,
+            &Launch {
+                limits: *limits,
+                policy,
+                ..Launch::default()
+            },
         )
         .map(|_| ());
         check(policy, res);
@@ -210,14 +213,16 @@ fn first_failing_group_wins_under_parallel() {
     for policy in POLICIES {
         let mut ctx = Context::new();
         let a = ctx.zeros_i32(8);
-        let err = enqueue_with_policy(
+        let err = enqueue(
             &mut ctx,
             &k,
             &[ArgValue::Buffer(a)],
             &NdRange::d1(8, 1),
             &mut NullSink,
-            &Limits::default(),
-            policy,
+            &Launch {
+                policy,
+                ..Launch::default()
+            },
         )
         .unwrap_err();
         assert_eq!(
@@ -243,14 +248,16 @@ fn arg_count_same_under_both_policies() {
     for policy in POLICIES {
         let mut ctx = Context::new();
         let a = ctx.zeros_i32(8);
-        let err = enqueue_with_policy(
+        let err = enqueue(
             &mut ctx,
             &k,
             &[ArgValue::Buffer(a)],
             &NdRange::d1(8, 1),
             &mut NullSink,
-            &Limits::default(),
-            policy,
+            &Launch {
+                policy,
+                ..Launch::default()
+            },
         )
         .unwrap_err();
         assert_eq!(

@@ -14,10 +14,9 @@ use std::time::Duration;
 
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
-use grover_runtime::fault::{self, FaultKind, FaultPlan, FaultSite, FaultTarget};
+use grover_runtime::fault::{FaultKind, FaultPlan, FaultSite, FaultTarget, Faults};
 use grover_runtime::{
-    enqueue_with_backend, ArgValue, Backend, Context, ExecError, ExecPolicy, LaunchStats, Limits,
-    NdRange, NullSink,
+    enqueue, ArgValue, Backend, Context, ExecError, Launch, LaunchStats, NdRange, NullSink,
 };
 
 /// Work-groups of 8 items each.
@@ -72,7 +71,7 @@ struct Outcome {
     buffers: Vec<Vec<u32>>,
 }
 
-fn run(k: &Function, backend: Backend) -> Outcome {
+fn run(k: &Function, backend: Backend, faults: &Faults) -> Outcome {
     let mut ctx = Context::new();
     let n = (GROUPS * 8) as usize;
     let float = k.name == "fe_barrier";
@@ -84,15 +83,17 @@ fn run(k: &Function, backend: Backend) -> Outcome {
         (ctx.buffer_i32(&data), ctx.zeros_i32(n))
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
-        enqueue_with_backend(
+        enqueue(
             &mut ctx,
             k,
             &[ArgValue::Buffer(input), ArgValue::Buffer(output)],
             &NdRange::d1(GROUPS * 8, 8),
             &mut NullSink,
-            &Limits::default(),
-            ExecPolicy::Serial,
-            backend,
+            &Launch {
+                backend,
+                faults: faults.clone(),
+                ..Launch::default()
+            },
         )
     }));
     let result = match result {
@@ -140,11 +141,12 @@ fn sites(first_item_insts: u64) -> Vec<FaultSite> {
 }
 
 fn check(k: &Function) {
-    let clean = run(k, Backend::Interp);
+    let none = Faults::default();
+    let clean = run(k, Backend::Interp, &none);
     let stats = clean.result.clone().expect("the unfaulted launch succeeds");
     assert_eq!(
         clean,
-        run(k, Backend::Bytecode),
+        run(k, Backend::Bytecode, &none),
         "{} without faults",
         k.name
     );
@@ -152,14 +154,14 @@ fn check(k: &Function) {
     let mut faulted = 0;
     for kind in kinds() {
         for site in sites(per_item) {
-            let _guard = fault::inject(FaultPlan {
+            let faults = Faults::new(FaultPlan {
                 target: FaultTarget::kernel(&k.name),
                 site,
                 kind: kind.clone(),
                 max_fires: 0,
             });
-            let interp = run(k, Backend::Interp);
-            let bytecode = run(k, Backend::Bytecode);
+            let interp = run(k, Backend::Interp, &faults);
+            let bytecode = run(k, Backend::Bytecode, &faults);
             assert_eq!(interp, bytecode, "{} {kind:?} at {site:?}", k.name);
             faulted += usize::from(interp != clean);
         }

@@ -2,18 +2,18 @@
 //! [`FaultSite`]/[`FaultKind`] combination the hardened pipeline relies on,
 //! under both work-group schedules.
 //!
-//! Plans are always targeted at a per-test kernel name: `inject` serialises
-//! concurrent injectors, but launches from other tests in this binary may
-//! still overlap a held guard, and must never match its plan.
+//! A plan reaches only the launches whose [`Launch`] carries its handle, so
+//! tests in this binary run side by side without seeing each other's
+//! plans; `a_plan_reaches_only_the_launches_that_carry_it` pins that down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
-use grover_runtime::fault::{self, FaultKind, FaultPlan, FaultSite, FaultTarget};
+use grover_runtime::fault::{FaultKind, FaultPlan, FaultSite, FaultTarget, Faults};
 use grover_runtime::{
-    enqueue_with_policy, ArgValue, Context, ExecError, ExecPolicy, Limits, NdRange, NullSink,
+    enqueue, ArgValue, Context, ExecError, ExecPolicy, Launch, Limits, NdRange, NullSink,
 };
 
 const POLICIES: [ExecPolicy; 2] = [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 4 }];
@@ -32,17 +32,26 @@ fn store_kernel(name: &str) -> Function {
         .remove(0)
 }
 
-fn launch(k: &Function, policy: ExecPolicy, limits: &Limits) -> (Context, Result<(), ExecError>) {
+fn launch(
+    k: &Function,
+    policy: ExecPolicy,
+    limits: &Limits,
+    faults: &Faults,
+) -> (Context, Result<(), ExecError>) {
     let mut ctx = Context::new();
     let a = ctx.zeros_i32(8);
-    let res = enqueue_with_policy(
+    let res = enqueue(
         &mut ctx,
         k,
         &[ArgValue::Buffer(a)],
         &NdRange::d1(8, 1),
         &mut NullSink,
-        limits,
-        policy,
+        &Launch {
+            limits: *limits,
+            policy,
+            faults: faults.clone(),
+            ..Launch::default()
+        },
     )
     .map(|_| ());
     (ctx, res)
@@ -51,14 +60,14 @@ fn launch(k: &Function, policy: ExecPolicy, limits: &Limits) -> (Context, Result
 #[test]
 fn group_panic_is_isolated_and_attributed() {
     let k = store_kernel("fi_gpanic");
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::kernel("fi_gpanic"),
         site: FaultSite::Group(2),
         kind: FaultKind::Panic,
         max_fires: 0,
     });
     for policy in POLICIES {
-        let (_, res) = launch(&k, policy, &Limits::default());
+        let (_, res) = launch(&k, policy, &Limits::default(), &faults);
         match res.unwrap_err() {
             ExecError::WorkerPanic { group, message } => {
                 assert_eq!(group, 2, "policy {policy:?}");
@@ -75,14 +84,14 @@ fn launch_start_panic_escapes_enqueue() {
     // tuner race thread): it must propagate out of `enqueue` itself, to be
     // caught by the *caller's* isolation, not converted to an ExecError.
     let k = store_kernel("fi_lpanic");
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::kernel("fi_lpanic"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::Panic,
         max_fires: 0,
     });
     let unwound = catch_unwind(AssertUnwindSafe(|| {
-        launch(&k, ExecPolicy::Serial, &Limits::default())
+        launch(&k, ExecPolicy::Serial, &Limits::default(), &faults)
     }));
     assert!(unwound.is_err(), "launch-entry panic must unwind");
 }
@@ -91,14 +100,14 @@ fn launch_start_panic_escapes_enqueue() {
 fn injected_error_surfaces_verbatim() {
     let k = store_kernel("fi_err");
     let injected = ExecError::Unsupported("injected for test".into());
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::kernel("fi_err"),
         site: FaultSite::Group(1),
         kind: FaultKind::Error(injected.clone()),
         max_fires: 0,
     });
     for policy in POLICIES {
-        let (_, res) = launch(&k, policy, &Limits::default());
+        let (_, res) = launch(&k, policy, &Limits::default(), &faults);
         assert_eq!(res.unwrap_err(), injected, "policy {policy:?}");
     }
 }
@@ -106,7 +115,7 @@ fn injected_error_surfaces_verbatim() {
 #[test]
 fn sleep_trips_the_watchdog() {
     let k = store_kernel("fi_sleep");
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::kernel("fi_sleep"),
         site: FaultSite::Group(0),
         kind: FaultKind::Sleep(Duration::from_millis(50)),
@@ -117,7 +126,7 @@ fn sleep_trips_the_watchdog() {
         ..Limits::default()
     };
     for policy in POLICIES {
-        let (_, res) = launch(&k, policy, &limits);
+        let (_, res) = launch(&k, policy, &limits, &faults);
         assert_eq!(
             res.unwrap_err(),
             ExecError::DeadlineExceeded,
@@ -129,14 +138,14 @@ fn sleep_trips_the_watchdog() {
 #[test]
 fn corrupt_stores_perturbs_globals_from_trigger_group() {
     let k = store_kernel("fi_corrupt");
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::kernel("fi_corrupt"),
         site: FaultSite::Group(1),
         kind: FaultKind::CorruptStores,
         max_fires: 0,
     });
     for policy in POLICIES {
-        let (ctx, res) = launch(&k, policy, &Limits::default());
+        let (ctx, res) = launch(&k, policy, &Limits::default(), &faults);
         res.unwrap();
         let got = ctx.buffers()[0].clone();
         let grover_runtime::BufferData::I32(got) = got else {
@@ -151,15 +160,15 @@ fn corrupt_stores_perturbs_globals_from_trigger_group() {
 #[test]
 fn max_fires_limits_the_fault_to_n_launches() {
     let k = store_kernel("fi_once");
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::kernel("fi_once"),
         site: FaultSite::Group(0),
         kind: FaultKind::Error(ExecError::Internal("transient".into())),
         max_fires: 1,
     });
-    let (_, first) = launch(&k, ExecPolicy::Serial, &Limits::default());
+    let (_, first) = launch(&k, ExecPolicy::Serial, &Limits::default(), &faults);
     assert!(first.is_err(), "first launch must hit the fault");
-    let (ctx, second) = launch(&k, ExecPolicy::Serial, &Limits::default());
+    let (ctx, second) = launch(&k, ExecPolicy::Serial, &Limits::default(), &faults);
     second.expect("fault exhausted — second launch must be clean");
     let grover_runtime::BufferData::I32(got) = &ctx.buffers()[0] else {
         panic!("expected i32 buffer");
@@ -171,13 +180,13 @@ fn max_fires_limits_the_fault_to_n_launches() {
 fn instruction_site_fault_fires_mid_group() {
     let k = store_kernel("fi_inst");
     let injected = ExecError::Internal("mid-group".into());
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::kernel("fi_inst"),
         site: FaultSite::Instruction(5),
         kind: FaultKind::Error(injected.clone()),
         max_fires: 0,
     });
-    let (_, res) = launch(&k, ExecPolicy::Serial, &Limits::default());
+    let (_, res) = launch(&k, ExecPolicy::Serial, &Limits::default(), &faults);
     assert_eq!(res.unwrap_err(), injected);
 }
 
@@ -185,33 +194,55 @@ fn instruction_site_fault_fires_mid_group() {
 fn plans_target_only_matching_kernels() {
     let hit = store_kernel("fi_target_hit");
     let miss = store_kernel("fi_target_miss");
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::kernel("fi_target_hit"),
         site: FaultSite::Group(0),
         kind: FaultKind::Panic,
         max_fires: 0,
     });
-    let (_, res) = launch(&hit, ExecPolicy::Serial, &Limits::default());
+    let (_, res) = launch(&hit, ExecPolicy::Serial, &Limits::default(), &faults);
     assert!(matches!(res.unwrap_err(), ExecError::WorkerPanic { .. }));
-    let (_, res) = launch(&miss, ExecPolicy::Serial, &Limits::default());
+    let (_, res) = launch(&miss, ExecPolicy::Serial, &Limits::default(), &faults);
     res.expect("plan must not match a differently-named kernel");
 }
 
+/// The same kernel launched 100 times from each of two threads at once:
+/// one side's launches carry a panic plan, the other side's carry none.
+/// The plan travels with its launches, so the clean side never sees it —
+/// a process-wide plan slot would fail it as soon as the two overlap.
 #[test]
-fn dropping_the_guard_uninstalls_the_plan() {
-    let k = store_kernel("fi_drop");
-    {
-        let _guard = fault::inject(FaultPlan {
-            target: FaultTarget::kernel("fi_drop"),
-            site: FaultSite::Group(0),
-            kind: FaultKind::Panic,
-            max_fires: 0,
-        });
-        let (_, res) = launch(&k, ExecPolicy::Serial, &Limits::default());
-        assert!(res.is_err());
+fn a_plan_reaches_only_the_launches_that_carry_it() {
+    let k = store_kernel("fi_isolated");
+    let plan = FaultPlan {
+        target: FaultTarget::kernel("fi_isolated"),
+        site: FaultSite::Group(0),
+        kind: FaultKind::Panic,
+        max_fires: 0,
+    };
+    let start = std::sync::Barrier::new(2);
+    // The faulty side arms its plan afresh for every launch, so a plan
+    // that leaked into shared state would sit there for most of the clean
+    // side's launches, whatever other tests of this binary arm meanwhile.
+    let run = |faults: &dyn Fn() -> Faults| {
+        start.wait();
+        (0..100)
+            .map(|_| launch(&k, ExecPolicy::Serial, &Limits::default(), &faults()).1)
+            .collect::<Vec<_>>()
+    };
+    let (faulty, clean) = std::thread::scope(|s| {
+        let faulty = s.spawn(|| run(&|| Faults::new(plan.clone())));
+        let clean = run(&Faults::default);
+        (faulty.join().unwrap(), clean)
+    });
+    for (i, res) in clean.into_iter().enumerate() {
+        res.unwrap_or_else(|e| panic!("clean launch {i} saw the other side's plan: {e:?}"));
     }
-    let (_, res) = launch(&k, ExecPolicy::Serial, &Limits::default());
-    res.expect("plan must be gone after the guard drops");
+    for (i, res) in faulty.into_iter().enumerate() {
+        assert!(
+            matches!(res, Err(ExecError::WorkerPanic { group: 0, .. })),
+            "faulty launch {i}: {res:?}"
+        );
+    }
 }
 
 #[test]
@@ -243,7 +274,7 @@ fn local_mem_free_targeting_distinguishes_versions() {
     .kernels
     .remove(0);
 
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("fi_vers"),
         site: FaultSite::Group(0),
         kind: FaultKind::Panic,
@@ -253,14 +284,16 @@ fn local_mem_free_targeting_distinguishes_versions() {
         let mut ctx = Context::new();
         let a = ctx.buffer_f32(&[1.0; 16]);
         let b = ctx.zeros_f32(16);
-        enqueue_with_policy(
+        enqueue(
             &mut ctx,
             k,
             &[ArgValue::Buffer(a), ArgValue::Buffer(b)],
             &NdRange::d1(16, 16),
             &mut NullSink,
-            &Limits::default(),
-            ExecPolicy::Serial,
+            &Launch {
+                faults: faults.clone(),
+                ..Launch::default()
+            },
         )
         .map(|_| ())
     };

@@ -4,8 +4,8 @@
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
 use grover_runtime::{
-    enqueue, enqueue_with_policy, ArgValue, Context, CountingSink, ExecError, ExecPolicy, Limits,
-    NdRange, NullSink, TraceOp, VecSink,
+    enqueue, ArgValue, Context, CountingSink, ExecError, ExecPolicy, Launch, Limits, NdRange,
+    NullSink, TraceOp, VecSink,
 };
 
 fn kernel(src: &str) -> Function {
@@ -33,7 +33,7 @@ fn copy_kernel_runs() {
         &[ArgValue::Buffer(a), ArgValue::Buffer(b)],
         &NdRange::d1(64, 16),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_f32(b), &data[..]);
@@ -65,7 +65,7 @@ fn barrier_staged_reversal() {
         &[ArgValue::Buffer(a), ArgValue::Buffer(b)],
         &NdRange::d1(32, 16),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     let out = ctx.read_f32(b);
@@ -118,7 +118,7 @@ fn matrix_multiply_matches_reference() {
         ],
         &NdRange::d2(n as u64, n as u64, 4, 4),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_f32(bc), &expect[..]);
@@ -144,7 +144,7 @@ fn float4_vector_kernel() {
         &[ArgValue::Buffer(a), ArgValue::Buffer(b)],
         &NdRange::d1(2, 2),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(
@@ -175,7 +175,7 @@ fn trace_counts_accesses() {
         &[ArgValue::Buffer(a), ArgValue::Buffer(b)],
         &NdRange::d1(16, 8),
         &mut sink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(sink.global_loads, 16);
@@ -204,7 +204,7 @@ fn trace_addresses_are_buffer_relative() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(4, 4),
         &mut sink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     let loads: Vec<_> = sink
@@ -237,7 +237,7 @@ fn divergent_barrier_detected() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(4, 4),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap_err();
     assert_eq!(err, ExecError::BarrierDivergence);
@@ -259,7 +259,7 @@ fn out_of_bounds_detected() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(4, 4),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap_err();
     assert!(matches!(err, ExecError::OutOfBounds { .. }));
@@ -282,9 +282,12 @@ fn instruction_limit_enforced() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits {
-            max_instructions: 10_000,
-            ..Limits::default()
+        &Launch {
+            limits: Limits {
+                max_instructions: 10_000,
+                ..Limits::default()
+            },
+            ..Launch::default()
         },
     )
     .unwrap_err();
@@ -305,7 +308,7 @@ fn arg_validation() {
             &[ArgValue::Buffer(a)],
             &NdRange::d1(1, 1),
             &mut NullSink,
-            &Limits::default()
+            &Launch::default()
         ),
         Err(ExecError::ArgCount { .. })
     ));
@@ -317,7 +320,7 @@ fn arg_validation() {
             &[ArgValue::Buffer(ib), ArgValue::I32(1)],
             &NdRange::d1(1, 1),
             &mut NullSink,
-            &Limits::default()
+            &Launch::default()
         ),
         Err(ExecError::TypeMismatch(_))
     ));
@@ -329,7 +332,7 @@ fn arg_validation() {
             &[ArgValue::Buffer(a), ArgValue::F32(1.0)],
             &NdRange::d1(1, 1),
             &mut NullSink,
-            &Limits::default()
+            &Launch::default()
         ),
         Err(ExecError::TypeMismatch(_))
     ));
@@ -346,7 +349,7 @@ fn bad_ndrange_rejected() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(10, 4),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap_err();
     assert!(matches!(err, ExecError::BadNdRange(_)));
@@ -369,7 +372,7 @@ fn two_dim_ids() {
         &[ArgValue::Buffer(out), ArgValue::I32(8)],
         &NdRange::d2(8, 4, 2, 2),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     let o = ctx.read_i32(out);
@@ -404,7 +407,7 @@ fn loop_carried_swap_phis() {
         &[ArgValue::Buffer(out), ArgValue::I32(3)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_i32(out), &[2, 1]); // three swaps of (1,2)
@@ -432,7 +435,7 @@ fn builtins_work() {
         &[ArgValue::Buffer(out)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(
@@ -452,7 +455,7 @@ fn division_by_zero_reported() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap_err();
     assert_eq!(err, ExecError::DivisionByZero);
@@ -472,17 +475,20 @@ fn parallel_instruction_limit_enforced() {
     );
     let mut ctx = Context::new();
     let a = ctx.zeros_i32(2);
-    let err = enqueue_with_policy(
+    let err = enqueue(
         &mut ctx,
         &k,
         &[ArgValue::Buffer(a)],
         &NdRange::d1(4, 1),
         &mut NullSink,
-        &Limits {
-            max_instructions: 10_000,
-            ..Limits::default()
+        &Launch {
+            limits: Limits {
+                max_instructions: 10_000,
+                ..Limits::default()
+            },
+            policy: ExecPolicy::Parallel { threads: 2 },
+            ..Launch::default()
         },
-        ExecPolicy::Parallel { threads: 2 },
     )
     .unwrap_err();
     assert_eq!(err, ExecError::InstructionLimit);
@@ -500,14 +506,16 @@ fn parallel_error_reports_first_failing_group() {
     );
     let mut ctx = Context::new();
     let a = ctx.zeros_i32(8);
-    let err = enqueue_with_policy(
+    let err = enqueue(
         &mut ctx,
         &k,
         &[ArgValue::Buffer(a)],
         &NdRange::d1(8, 1),
         &mut NullSink,
-        &Limits::default(),
-        ExecPolicy::Parallel { threads: 4 },
+        &Launch {
+            policy: ExecPolicy::Parallel { threads: 4 },
+            ..Launch::default()
+        },
     )
     .unwrap_err();
     assert_eq!(err, ExecError::DivisionByZero);

@@ -6,8 +6,7 @@ use grover_frontend::{compile, BuildOptions};
 use grover_ir::printer::function_to_string;
 use grover_ir::{parse_function, Function};
 use grover_runtime::{
-    enqueue, enqueue_with_backend, ArgValue, Backend, Context, CountingSink, ExecError, ExecPolicy,
-    Limits, NdRange,
+    enqueue, ArgValue, Backend, Context, CountingSink, ExecError, Launch, Limits, NdRange,
 };
 
 /// The text form of a small verified kernel, to break by editing.
@@ -42,16 +41,28 @@ fn launch(
     let mut sink = CountingSink::default();
     let limits = Limits::default();
     let res = match backend {
-        None => enqueue(&mut ctx, k, &args, &nd, &mut sink, &limits),
-        Some(b) => enqueue_with_backend(
+        None => enqueue(
             &mut ctx,
             k,
             &args,
             &nd,
             &mut sink,
-            &limits,
-            ExecPolicy::Serial,
-            b,
+            &Launch {
+                limits,
+                ..Launch::default()
+            },
+        ),
+        Some(b) => enqueue(
+            &mut ctx,
+            k,
+            &args,
+            &nd,
+            &mut sink,
+            &Launch {
+                limits,
+                backend: b,
+                ..Launch::default()
+            },
         ),
     };
     (res.map(|_| ()), ctx.read_f32(a).to_vec(), sink)

@@ -3,7 +3,7 @@
 
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
-use grover_runtime::{enqueue, ArgValue, Context, Limits, NdRange, NullSink};
+use grover_runtime::{enqueue, ArgValue, Context, Launch, NdRange, NullSink};
 
 fn kernel(src: &str) -> Function {
     compile(src, &BuildOptions::new())
@@ -33,7 +33,7 @@ fn unsigned_comparison_and_shift() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_i32(a), &[1, 0, 1, -1]);
@@ -59,7 +59,7 @@ fn float_int_conversions() {
         &[ArgValue::Buffer(f), ArgValue::Buffer(i)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_i32(i)[0], 3);
@@ -86,7 +86,7 @@ fn three_dimensional_launch() {
         &[ArgValue::Buffer(out), ArgValue::I32(4), ArgValue::I32(2)],
         &NdRange::d3([4, 2, 3], [2, 1, 1]),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     let o = ctx.read_i32(out);
@@ -116,7 +116,7 @@ fn constant_address_space_reads() {
         &[ArgValue::Buffer(lut), ArgValue::Buffer(out)],
         &NdRange::d1(8, 4),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_f32(out), &[2.0, 4.0, 6.0, 8.0, 2.0, 4.0, 6.0, 8.0]);
@@ -144,7 +144,7 @@ fn workitem_shape_queries() {
         &[ArgValue::Buffer(out)],
         &NdRange::d1(24, 8),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_i32(out), &[8, 24, 3, 1, 1]);
@@ -168,7 +168,7 @@ fn vector_scalar_mixed_arithmetic() {
         &[ArgValue::Buffer(a), ArgValue::Buffer(b)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_f32(b), &[4.0, 9.0, 14.0, 19.0]);
@@ -195,7 +195,7 @@ fn swizzle_all_lanes() {
         &[ArgValue::Buffer(a), ArgValue::Buffer(out)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_f32(out), &[10.0, 20.0, 30.0, 40.0, 50.0]);
@@ -222,7 +222,7 @@ fn dot_builtin() {
         ],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_f32(out)[0], 70.0);
@@ -245,7 +245,7 @@ fn modulo_and_negative_numbers() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_i32(a), &[-1, 1, -3]);
@@ -268,7 +268,7 @@ fn multiple_kernels_in_one_module() {
             &[ArgValue::Buffer(a)],
             &NdRange::d1(1, 1),
             &mut NullSink,
-            &Limits::default(),
+            &Launch::default(),
         )
         .unwrap();
     }
@@ -301,7 +301,7 @@ fn do_while_and_break_continue_semantics() {
         &[ArgValue::Buffer(a)],
         &NdRange::d1(1, 1),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_i32(a), &[20, 5, -1]);

@@ -16,15 +16,16 @@
 //!   epoch are skipped at load, so bumping
 //!   [`grover_core::TRANSFORM_REVISION`] invalidates every persisted
 //!   decision without deleting history. When the journal accumulates
-//!   enough dead weight (superseded, stale-epoch, damaged or legacy
-//!   lines), it is compacted atomically: live records are rewritten to a
-//!   temp file, fsynced, and renamed over the journal.
+//!   enough dead weight (superseded, stale-epoch or damaged lines), it is
+//!   compacted atomically: live records are rewritten to a temp file,
+//!   fsynced, and renamed over the journal.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 
 use grover_obs::json::{self, Json, Obj};
+use grover_runtime::fault::IoFaults;
 use grover_tuner::Decision;
 
 use crate::journal;
@@ -250,8 +251,6 @@ pub struct LoadStats {
     pub corrupt: usize,
     /// Trailing records cut short by a crash mid-write.
     pub torn: usize,
-    /// Bare-JSON lines accepted from the pre-journal format.
-    pub legacy: usize,
     /// Records superseded by a later record for the same fingerprint.
     pub superseded: usize,
 }
@@ -267,30 +266,25 @@ pub struct DecisionStore {
     out: File,
     /// Live records in first-seen order (stable warm-start order).
     order: Vec<String>,
-    /// Latest record per fingerprint, with whether that copy is a framed
-    /// journal line (legacy copies must be rewritten by a compaction).
-    live: HashMap<String, (DecisionRecord, bool)>,
-    /// Physical lines across the legacy segment, the journal, and appends.
+    /// Latest record per fingerprint.
+    live: HashMap<String, DecisionRecord>,
+    /// Physical lines in the journal, appends included.
     total_lines: usize,
-    /// Live records whose latest copy is already a framed journal line.
-    framed_live: usize,
     /// Compact once the dead weight exceeds this (and outnumbers the live).
     compact_threshold: usize,
     compactions: u64,
     epoch: String,
+    /// The I/O fault plan appends and compactions consult.
+    io_faults: IoFaults,
 }
 
 /// File name of the checksummed journal inside `--cache-dir`.
 pub const JOURNAL_FILE: &str = "decisions.journal";
 
-/// File name of the pre-journal raw-JSONL segment, replayed (read-only)
-/// for warm-start when present so an upgrade loses no decisions.
-pub const LEGACY_SEGMENT_FILE: &str = "decisions.jsonl";
-
 impl DecisionStore {
     /// Open (creating if needed) the store under `dir`, replaying the
-    /// journal — and any legacy segment — into the live index. Replay is
-    /// infallible by design: damaged records are counted, never fatal.
+    /// journal into the live index. Replay is infallible by design:
+    /// damaged records are counted, never fatal.
     pub fn open(
         dir: &Path,
         epoch: &str,
@@ -304,37 +298,17 @@ impl DecisionStore {
             order: Vec::new(),
             live: HashMap::new(),
             total_lines: 0,
-            framed_live: 0,
             compact_threshold: compact_threshold.max(1),
             compactions: 0,
             epoch: epoch.to_string(),
+            io_faults: IoFaults::default(),
         };
         let mut stats = LoadStats::default();
-        // Legacy first: anything the journal re-recorded wins as a later
-        // line. A compaction migrates legacy content into checksummed
-        // frames, so legacy copies always count as dead weight.
-        if let Ok(text) = std::fs::read_to_string(dir.join(LEGACY_SEGMENT_FILE)) {
-            for (line, terminated) in journal::lines(&text) {
-                stats.legacy += 1;
-                store.total_lines += 1;
-                match journal::classify(line, terminated) {
-                    journal::Line::Record(p) | journal::Line::Legacy(p) => {
-                        store.replay_payload(p, false, &mut stats);
-                    }
-                    journal::Line::Torn => stats.torn += 1,
-                    journal::Line::Corrupt => stats.corrupt += 1,
-                }
-            }
-        }
         if let Ok(text) = std::fs::read_to_string(&path) {
             for (line, terminated) in journal::lines(&text) {
                 store.total_lines += 1;
                 match journal::classify(line, terminated) {
-                    journal::Line::Record(p) => store.replay_payload(p, true, &mut stats),
-                    journal::Line::Legacy(p) => {
-                        stats.legacy += 1;
-                        store.replay_payload(p, false, &mut stats);
-                    }
+                    journal::Line::Record(p) => store.replay_payload(p, &mut stats),
                     journal::Line::Torn => stats.torn += 1,
                     journal::Line::Corrupt => stats.corrupt += 1,
                 }
@@ -353,10 +327,10 @@ impl DecisionStore {
     }
 
     /// Feed one parsed-payload line into the live index.
-    fn replay_payload(&mut self, payload: &str, framed: bool, stats: &mut LoadStats) {
+    fn replay_payload(&mut self, payload: &str, stats: &mut LoadStats) {
         match json::parse(payload).and_then(|v| DecisionRecord::from_json(&v)) {
             Ok(rec) if rec.epoch == self.epoch => {
-                if self.index(rec, framed) {
+                if self.index(rec) {
                     stats.superseded += 1;
                 }
             }
@@ -367,27 +341,19 @@ impl DecisionStore {
 
     /// Record `rec` as live (later lines win). Returns whether a previous
     /// record for the same fingerprint was superseded.
-    fn index(&mut self, rec: DecisionRecord, framed: bool) -> bool {
+    fn index(&mut self, rec: DecisionRecord) -> bool {
         let fp = rec.fingerprint.clone();
-        let old = self.live.insert(fp.clone(), (rec, framed));
-        match old {
-            Some((_, old_framed)) => {
-                if old_framed {
-                    self.framed_live -= 1;
-                }
-                if framed {
-                    self.framed_live += 1;
-                }
-                true
-            }
-            None => {
-                if framed {
-                    self.framed_live += 1;
-                }
-                self.order.push(fp);
-                false
-            }
+        let superseded = self.live.insert(fp.clone(), rec).is_some();
+        if !superseded {
+            self.order.push(fp);
         }
+        superseded
+    }
+
+    /// Route appends and compactions through `faults` (the server's
+    /// configured I/O plan).
+    pub(crate) fn set_io_faults(&mut self, faults: IoFaults) {
+        self.io_faults = faults;
     }
 
     /// Path of the underlying journal file.
@@ -397,9 +363,7 @@ impl DecisionStore {
 
     /// Live records in first-seen order, for warm-starting the LRU.
     pub fn live_records(&self) -> impl Iterator<Item = &DecisionRecord> {
-        self.order
-            .iter()
-            .filter_map(|fp| self.live.get(fp).map(|(r, _)| r))
+        self.order.iter().filter_map(|fp| self.live.get(fp))
     }
 
     /// Live record count.
@@ -407,10 +371,10 @@ impl DecisionStore {
         self.live.len()
     }
 
-    /// Journal + legacy lines a compaction would drop (superseded, stale
-    /// epoch, damaged, or unframed).
+    /// Journal lines a compaction would drop (superseded, stale epoch or
+    /// damaged).
     pub fn dead_len(&self) -> usize {
-        self.total_lines - self.framed_live
+        self.total_lines - self.live.len()
     }
 
     /// Compactions performed since open.
@@ -425,9 +389,9 @@ impl DecisionStore {
     /// On error the record must be treated as NOT persisted — the caller
     /// must not acknowledge the decision to a client.
     pub fn append(&mut self, rec: &DecisionRecord) -> std::io::Result<()> {
-        journal::append_framed(&mut self.out, &rec.to_json())?;
+        journal::append_framed(&mut self.out, &rec.to_json(), &self.io_faults)?;
         self.total_lines += 1;
-        self.index(rec.clone(), true);
+        self.index(rec.clone());
         self.maybe_compact();
         Ok(())
     }
@@ -445,26 +409,13 @@ impl DecisionStore {
     /// rename, so a crash leaves either the old or the new journal.
     pub fn compact(&mut self) -> std::io::Result<()> {
         let payloads: Vec<String> = self.live_records().map(DecisionRecord::to_json).collect();
-        journal::rewrite_atomic(&self.path, &payloads)?;
+        journal::rewrite_atomic(&self.path, &payloads, &self.io_faults)?;
         self.out = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
         self.total_lines = self.live.len();
-        self.framed_live = self.live.len();
-        for entry in self.live.values_mut() {
-            entry.1 = true;
-        }
         self.compactions += 1;
-        // The legacy segment's content now lives in the journal as framed
-        // records; move it aside so future boots neither re-replay it nor
-        // re-count it as dead weight. (Renaming keeps the bytes around.)
-        if let Some(dir) = self.path.parent() {
-            let legacy = dir.join(LEGACY_SEGMENT_FILE);
-            if legacy.exists() {
-                let _ = std::fs::rename(&legacy, dir.join("decisions.jsonl.migrated"));
-            }
-        }
         Ok(())
     }
 
@@ -568,7 +519,6 @@ mod tests {
                 stale_epoch: 1,
                 corrupt: 0,
                 torn: 1,
-                legacy: 0,
                 superseded: 0,
             }
         );
@@ -666,36 +616,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A line that is not `J1`-framed — bare JSON included — is damage:
+    /// corrupt mid-file, torn as the unterminated tail. It is counted,
+    /// never fatal, and the records around it still load.
     #[test]
-    fn legacy_raw_jsonl_is_replayed_and_migrated_by_compaction() {
-        let dir = scratch("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A pre-journal segment written by an older server.
-        std::fs::write(
-            dir.join(LEGACY_SEGMENT_FILE),
-            format!("{}\n{}\n", rec("a", "e").to_json(), rec("b", "e").to_json()),
-        )
-        .unwrap();
-        let (mut store, stats) = open(&dir, "e");
-        assert_eq!(stats.legacy, 2);
-        assert_eq!(stats.loaded, 2);
-        // The journal supersedes one legacy record...
-        let mut newer = rec("a", "e");
-        newer.np = 9.0;
-        store.append(&newer).unwrap();
-        // ...and an explicit compaction migrates everything into frames.
-        store.compact().unwrap();
-        assert!(!dir.join(LEGACY_SEGMENT_FILE).exists());
-        drop(store);
+    fn bare_json_lines_are_damage_and_the_records_around_them_load() {
+        let dir = scratch("barejson");
+        {
+            let (mut store, _) = open(&dir, "e");
+            store.append(&rec("a", "e")).unwrap();
+        }
+        let path = dir.join(JOURNAL_FILE);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&rec("bare", "e").to_json());
+        text.push('\n');
+        text.push_str(&journal::frame(&rec("c", "e").to_json()));
+        text.push_str(&rec("tail", "e").to_json());
+        std::fs::write(&path, &text).unwrap();
 
         let (store, stats) = open(&dir, "e");
         assert_eq!(
-            stats.legacy, 0,
-            "legacy file renamed aside after compaction"
+            (stats.corrupt, stats.torn, stats.loaded),
+            (1, 1, 2),
+            "{stats:?}"
         );
-        assert_eq!(stats.loaded, 2);
-        let a = store.live_records().find(|r| r.fingerprint == "a").unwrap();
-        assert_eq!(a.np, 9.0, "journal copy wins over legacy copy");
+        let fps: Vec<&str> = store
+            .live_records()
+            .map(|r| r.fingerprint.as_str())
+            .collect();
+        assert_eq!(fps, ["a", "c"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,13 +11,14 @@
 //! edits). Replay classifies every line instead of failing: intact records
 //! load, damaged ones are skipped and counted, and — crucially — damage is
 //! contained to the damaged line, so every intact record before *and*
-//! after it is salvaged. Lines that are not `J1`-framed but parse as bare
-//! JSON are accepted as *legacy* records (the pre-journal
-//! `decisions.jsonl` format), giving a seamless warm-start upgrade path.
+//! after it is salvaged. A line that is not `J1`-framed is damage like
+//! any other: corrupt mid-file, torn as the unterminated tail.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
+
+use grover_runtime::fault::IoFaults;
 
 /// Frame marker for version 1 of the journal record format.
 pub const FRAME_TAG: &str = "J1";
@@ -51,13 +52,11 @@ pub fn frame(payload: &str) -> String {
 pub enum Line<'a> {
     /// An intact `J1` record; the JSON payload, checksum-verified.
     Record(&'a str),
-    /// A bare JSON line from the pre-journal format.
-    Legacy(&'a str),
     /// A record cut short by a crash mid-write (only possible as the
     /// file's unterminated tail).
     Torn,
     /// A record whose length or checksum does not match its payload, or
-    /// that is unparseable mid-file.
+    /// any other line that is not a `J1` record, mid-file.
     Corrupt,
 }
 
@@ -67,10 +66,6 @@ pub enum Line<'a> {
 /// (something rewrote history).
 pub fn classify(line: &str, terminated: bool) -> Line<'_> {
     let Some(rest) = line.strip_prefix("J1 ") else {
-        // Not framed: a legacy bare-JSON line, or garbage.
-        if looks_like_json(line) {
-            return Line::Legacy(line);
-        }
         return if terminated {
             Line::Corrupt
         } else {
@@ -107,10 +102,6 @@ pub fn classify(line: &str, terminated: bool) -> Line<'_> {
     Line::Record(payload)
 }
 
-fn looks_like_json(line: &str) -> bool {
-    line.trim_start().starts_with('{')
-}
-
 /// Split raw journal bytes into `(line, terminated)` pairs. Records never
 /// contain raw newlines (the JSON writer escapes them), so the journal is
 /// strictly line-oriented even though it is not plain JSONL.
@@ -126,23 +117,15 @@ pub fn lines(text: &str) -> impl Iterator<Item = (&str, bool)> {
     })
 }
 
-/// Fault-injection shim: consult the named I/O fault site when the
-/// feature is on, otherwise a no-op.
-#[cfg(feature = "fault-injection")]
-pub(crate) fn io_fault(site: &str) -> Result<Option<usize>, std::io::Error> {
-    grover_runtime::fault::io_fault(site)
-}
-
-#[cfg(not(feature = "fault-injection"))]
-pub(crate) fn io_fault(_site: &str) -> Result<Option<usize>, std::io::Error> {
-    Ok(None)
-}
-
-/// Append one framed record to `out`, honouring the `journal.append`
-/// fault site (short-circuit or torn write), and flush.
-pub(crate) fn append_framed(out: &mut File, payload: &str) -> std::io::Result<()> {
+/// Append one framed record to `out`, honouring `faults` at the
+/// `journal.append` site (short-circuit or torn write), and flush.
+pub(crate) fn append_framed(
+    out: &mut File,
+    payload: &str,
+    faults: &IoFaults,
+) -> std::io::Result<()> {
     let framed = frame(payload);
-    match io_fault("journal.append")? {
+    match faults.fire("journal.append")? {
         Some(torn_at) => {
             // A torn write: part of the record reaches the file, then the
             // "crash". The caller must treat this as a failed append.
@@ -161,8 +144,12 @@ pub(crate) fn append_framed(out: &mut File, payload: &str) -> std::io::Result<()
 /// Atomically replace the journal at `path` with `records` (already
 /// serialised payloads): write a sibling temp file, fsync it, rename over
 /// the original. A crash at any point leaves either the old or the new
-/// journal, never a mix. Honours the `journal.fsync` fault site.
-pub(crate) fn rewrite_atomic(path: &Path, records: &[String]) -> std::io::Result<()> {
+/// journal, never a mix. Honours `faults` at the `journal.fsync` site.
+pub(crate) fn rewrite_atomic(
+    path: &Path,
+    records: &[String],
+    faults: &IoFaults,
+) -> std::io::Result<()> {
     let tmp = path.with_extension("journal.tmp");
     {
         let mut out = OpenOptions::new()
@@ -173,7 +160,7 @@ pub(crate) fn rewrite_atomic(path: &Path, records: &[String]) -> std::io::Result
         for payload in records {
             out.write_all(frame(payload).as_bytes())?;
         }
-        if let Err(e) = io_fault("journal.fsync") {
+        if let Err(e) = faults.fire("journal.fsync") {
             drop(out);
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
@@ -233,14 +220,6 @@ mod tests {
         let line = frame(r#"{"k":"value"}"#);
         let flipped = line.trim_end_matches('\n').replace("value", "vblue");
         assert_eq!(classify(&flipped, true), Line::Corrupt);
-    }
-
-    #[test]
-    fn bare_json_is_legacy() {
-        assert_eq!(
-            classify(r#"{"fingerprint":"ab"}"#, true),
-            Line::Legacy(r#"{"fingerprint":"ab"}"#)
-        );
     }
 
     #[test]

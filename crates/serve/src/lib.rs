@@ -40,7 +40,7 @@
 //! ## Fault tolerance
 //!
 //! The persistent store is a checksummed, length-prefixed [`journal`]:
-//! replay classifies every line (intact / legacy / torn / corrupt)
+//! replay classifies every line (intact / torn / corrupt)
 //! instead of failing, so a SIGKILL mid-write costs at most the record
 //! being written — never the warm start. Decisions are persisted
 //! *before* they are acknowledged, and a [`breaker::CircuitBreaker`]

@@ -234,8 +234,6 @@ pub struct Metrics {
     pub journal_corrupt: Arc<Counter>,
     /// Journal records skipped at warm-start: torn trailing write.
     pub journal_torn: Arc<Counter>,
-    /// Legacy bare-JSON lines accepted at warm-start.
-    pub journal_legacy: Arc<Counter>,
     /// Journal compactions performed since startup (republished total).
     pub journal_compactions: Arc<Counter>,
     /// Decisions that could not be persisted (answered 500, not cached).
@@ -284,7 +282,6 @@ impl Metrics {
             journal_stale_epoch: r.counter("grover_serve_journal_stale_epoch_total"),
             journal_corrupt: r.counter("grover_serve_journal_corrupt_total"),
             journal_torn: r.counter("grover_serve_journal_torn_total"),
-            journal_legacy: r.counter("grover_serve_journal_legacy_total"),
             journal_compactions: r.counter("grover_serve_journal_compactions_total"),
             persist_failures: r.counter("grover_serve_persist_failures_total"),
             slow_client_drops: r.counter("grover_serve_slow_client_drops_total"),

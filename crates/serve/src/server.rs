@@ -70,6 +70,7 @@ use grover_ir::{Function, Scalar, Type};
 use grover_obs::json::{self, array, Json, Obj};
 use grover_obs::{Recorder, SpanId, TraceId, Value};
 use grover_predict::{schema_hash, FeatureVector, Model as PredictModel};
+use grover_runtime::fault::{Faults, IoFaults};
 use grover_runtime::{ArgValue, Context, ExecPolicy, Limits, NdRange};
 use grover_tuner::{Choice, FallbackReason, TuneError, Tuner, Workload};
 
@@ -129,6 +130,14 @@ pub struct ServeConfig {
     /// Confidence below which `/v1/predict` falls back to the measured
     /// race. Requests may override per-call via a `threshold` field.
     pub predict_threshold: f64,
+    /// Test hook: the launch fault plan every cache-miss tune's launches
+    /// carry. Empty by default, and always empty and zero-sized without
+    /// the runtime's `fault-injection` feature.
+    pub faults: Faults,
+    /// Test hook: the I/O fault plan the decision journal's appends and
+    /// compactions consult. Empty by default, and always empty and
+    /// zero-sized without the runtime's `fault-injection` feature.
+    pub io_faults: IoFaults,
 }
 
 impl Default for ServeConfig {
@@ -150,6 +159,8 @@ impl Default for ServeConfig {
             profile_ops: false,
             model_path: None,
             predict_threshold: 0.7,
+            faults: Faults::default(),
+            io_faults: IoFaults::default(),
         }
     }
 }
@@ -227,8 +238,9 @@ impl Server {
         let recorder: Arc<dyn Recorder> = flight.clone();
 
         let recovery = recorder.span_start("serve.recovery", None);
-        let (store, stats) =
+        let (mut store, stats) =
             DecisionStore::open(&config.cache_dir, &epoch, config.compact_threshold)?;
+        store.set_io_faults(config.io_faults.clone());
         let mut cache = DecisionCache::new(config.cache_capacity);
         for rec in store.live_records() {
             cache.insert(rec.clone());
@@ -238,13 +250,11 @@ impl Server {
         metrics.journal_stale_epoch.set(stats.stale_epoch as u64);
         metrics.journal_corrupt.set(stats.corrupt as u64);
         metrics.journal_torn.set(stats.torn as u64);
-        metrics.journal_legacy.set(stats.legacy as u64);
         if recorder.enabled() {
             recorder.span_attr(recovery, "loaded", Value::from(stats.loaded));
             recorder.span_attr(recovery, "stale_epoch", Value::from(stats.stale_epoch));
             recorder.span_attr(recovery, "corrupt", Value::from(stats.corrupt));
             recorder.span_attr(recovery, "torn", Value::from(stats.torn));
-            recorder.span_attr(recovery, "legacy", Value::from(stats.legacy));
             recorder.span_attr(recovery, "superseded", Value::from(stats.superseded));
             recorder.event(
                 "serve.warm_start",
@@ -1470,6 +1480,7 @@ fn run_miss(
     // span down to the launches carries the request's trace id.
     tuner.parent = Some(tune_span);
     tuner.profile_ops = shared.config.profile_ops;
+    tuner.faults = shared.config.faults.clone();
     if let Some(threads) = body.u64_of("threads") {
         tuner.policy = ExecPolicy::Parallel {
             threads: threads as usize,

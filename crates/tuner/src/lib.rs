@@ -54,9 +54,10 @@ use grover_devsim::Device;
 use grover_ir::Function;
 use grover_obs::{NoopRecorder, Recorder, SpanId, Value};
 use grover_predict::{FeatureVector, Model as PredictModel, Prediction, Verdict};
+use grover_runtime::fault::Faults;
 use grover_runtime::{
-    enqueue_observed_profiled, enqueue_with_policy, ArgValue, BufferData, Context, ExecError,
-    ExecPolicy, Limits, NdRange, NullSink,
+    enqueue, ArgValue, BufferData, Context, ExecError, ExecPolicy, Launch, Limits, NdRange,
+    NullSink,
 };
 
 /// Which kernel version won.
@@ -337,6 +338,10 @@ pub struct Tuner {
     pub predict_first: bool,
     /// Minimum model confidence for a zero-launch predicted decision.
     pub predict_threshold: f64,
+    /// The fault plan every launch of this tuner carries (race, retries
+    /// and verify guard). Empty by default, and always empty and
+    /// zero-sized without the runtime's `fault-injection` feature.
+    pub faults: Faults,
     cache: HashMap<(String, String), Decision>,
     transformed: HashMap<(String, String), Function>,
     races: u64,
@@ -379,6 +384,7 @@ impl Tuner {
             predictor: None,
             predict_first: false,
             predict_threshold: 0.7,
+            faults: Faults::default(),
             cache: HashMap::new(),
             transformed: HashMap::new(),
             races: 0,
@@ -716,10 +722,19 @@ impl Tuner {
     ) -> Result<Decision, TuneError> {
         let recorder = self.recorder.clone();
         let rec: &dyn Recorder = &*recorder;
-        let policy = self.policy;
-        let limits = self.limits;
+        // Every measurement launch: the race, its retries and (serial and
+        // unobserved, see `run_for_outputs`) the verify guard.
+        let launch = Launch {
+            limits: self.limits,
+            policy: self.policy,
+            recorder: rec,
+            parent: span,
+            profile: self.profile_ops,
+            faults: self.faults.clone(),
+            ..Launch::default()
+        };
+        let launch = &launch;
         let retry = self.retry;
-        let profile_ops = self.profile_ops;
         self.races += 1;
 
         // Race the original plus every candidate: the original on this
@@ -736,21 +751,10 @@ impl Tuner {
                 .zip(w_cands)
                 .map(|(c, w)| {
                     let ck = &c.kernel;
-                    s.spawn(move || {
-                        simulate_caught(ck, device, w, policy, &limits, rec, span, profile_ops)
-                    })
+                    s.spawn(move || simulate_caught(ck, device, w, launch))
                 })
                 .collect();
-            let with = simulate_caught(
-                kernel,
-                device,
-                w_with,
-                policy,
-                &limits,
-                rec,
-                span,
-                profile_ops,
-            );
+            let with = simulate_caught(kernel, device, w_with, launch);
             // `simulate_caught` already catches panics; `join` only fails if
             // one escapes the isolation (a bug) — still convert, never abort.
             let cands: Vec<Result<u64, MeasureFailure>> = handles
@@ -780,16 +784,7 @@ impl Tuner {
                     &retry_attrs("original", None, attempts_with.get()),
                 );
             }
-            simulate_caught(
-                kernel,
-                device,
-                workload.instantiate(),
-                policy,
-                &limits,
-                rec,
-                span,
-                profile_ops,
-            )
+            simulate_caught(kernel, device, workload.instantiate(), launch)
         });
         let mut cand_cycles: Vec<Result<u64, MeasureFailure>> =
             Vec::with_capacity(candidates.len());
@@ -805,16 +800,7 @@ impl Tuner {
                         &retry_attrs("transformed", Some(&c.sequence), attempts.get()),
                     );
                 }
-                simulate_caught(
-                    &c.kernel,
-                    device,
-                    workload.instantiate(),
-                    policy,
-                    &limits,
-                    rec,
-                    span,
-                    profile_ops,
-                )
+                simulate_caught(&c.kernel, device, workload.instantiate(), launch)
             });
             if rec.enabled() {
                 rec.event(
@@ -883,11 +869,9 @@ impl Tuner {
             let w_winner = workload.instantiate();
             let seq = winner.sequence.as_str();
             let (reference, candidate) = std::thread::scope(|s| {
-                let handle = s.spawn(|| {
-                    run_for_outputs(&winner.kernel, w_winner, &limits, rec, span, "winner", seq)
-                });
-                let reference =
-                    run_for_outputs(kernel, w_reference, &limits, rec, span, "original", seq);
+                let handle =
+                    s.spawn(|| run_for_outputs(&winner.kernel, w_winner, launch, "winner", seq));
+                let reference = run_for_outputs(kernel, w_reference, launch, "original", seq);
                 // `run_for_outputs` catches panics; `join` only fails if one
                 // escapes the isolation (a bug) — still convert, never abort.
                 let candidate = handle
@@ -1169,16 +1153,11 @@ fn retry_measure<T>(
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn simulate(
     kernel: &Function,
     device: &str,
     workload: (Context, Vec<ArgValue>, NdRange),
-    policy: ExecPolicy,
-    limits: &Limits,
-    rec: &dyn Recorder,
-    parent: Option<SpanId>,
-    profile_ops: bool,
+    launch: &Launch,
 ) -> Result<u64, MeasureFailure> {
     // The device name is validated by `tune_pair` before any measurement;
     // a lookup failure here means the registry changed under us.
@@ -1190,83 +1169,53 @@ fn simulate(
     let (mut ctx, args, nd) = workload;
     // With profiling on, the launch span gains a `profile` event; the
     // aggregate itself is not needed here, the recorder carries it.
-    let mut profile = None;
-    enqueue_observed_profiled(
-        &mut ctx,
-        kernel,
-        &args,
-        &nd,
-        &mut dev,
-        limits,
-        policy,
-        rec,
-        parent,
-        profile_ops.then_some(&mut profile),
-    )
-    .map_err(MeasureFailure::Exec)?;
+    enqueue(&mut ctx, kernel, &args, &nd, &mut dev, launch).map_err(MeasureFailure::Exec)?;
     Ok(dev.finish().cycles)
 }
 
 /// [`simulate`] with panic isolation: a panic anywhere in the measurement
 /// (execution engine, device model, injected fault) becomes a
 /// [`MeasureFailure::Panicked`] instead of unwinding into the race scope.
-#[allow(clippy::too_many_arguments)]
 fn simulate_caught(
     kernel: &Function,
     device: &str,
     workload: (Context, Vec<ArgValue>, NdRange),
-    policy: ExecPolicy,
-    limits: &Limits,
-    rec: &dyn Recorder,
-    parent: Option<SpanId>,
-    profile_ops: bool,
+    launch: &Launch,
 ) -> Result<u64, MeasureFailure> {
     catch_unwind(AssertUnwindSafe(|| {
-        simulate(
-            kernel,
-            device,
-            workload,
-            policy,
-            limits,
-            rec,
-            parent,
-            profile_ops,
-        )
+        simulate(kernel, device, workload, launch)
     }))
     .unwrap_or_else(|p| Err(MeasureFailure::Panicked(panic_message(p.as_ref()))))
 }
 
-/// Run `kernel` once, serially into a [`NullSink`], returning the final
-/// context for the differential-output guard. With the recorder enabled
-/// the launch is wrapped in a `verify` span under `parent`, opened and
-/// closed on the calling thread and tagged with `version` (`original` or
-/// `winner`) and the winning `sequence` the pair verifies.
+/// Run `kernel` once, serially into a [`NullSink`] under `launch`'s limits
+/// and faults, returning the final context for the differential-output
+/// guard. The launch itself records nothing: with `launch`'s recorder
+/// enabled it is wrapped in a `verify` span under `launch.parent`, opened
+/// and closed on the calling thread and tagged with `version` (`original`
+/// or `winner`) and the winning `sequence` the pair verifies.
 fn run_for_outputs(
     kernel: &Function,
     workload: (Context, Vec<ArgValue>, NdRange),
-    limits: &Limits,
-    rec: &dyn Recorder,
-    parent: Option<SpanId>,
+    launch: &Launch,
     version: &'static str,
     sequence: &str,
 ) -> Result<Context, MeasureFailure> {
+    let rec = launch.recorder;
     let span = rec.enabled().then(|| {
-        let span = rec.span_start("verify", parent);
+        let span = rec.span_start("verify", launch.parent);
         rec.span_attr(span, "version", Value::from(version));
         rec.span_attr(span, "sequence", Value::from(sequence));
         span
     });
+    let guard_launch = Launch {
+        limits: launch.limits,
+        faults: launch.faults.clone(),
+        ..Launch::default()
+    };
     let (mut ctx, args, nd) = workload;
     let run = catch_unwind(AssertUnwindSafe(|| {
-        enqueue_with_policy(
-            &mut ctx,
-            kernel,
-            &args,
-            &nd,
-            &mut NullSink,
-            limits,
-            ExecPolicy::Serial,
-        )
+        enqueue(&mut ctx, kernel, &args, &nd, &mut NullSink, &guard_launch)
     }));
     if let Some(span) = span {
         rec.span_end(span);

@@ -3,14 +3,14 @@
 //! and — for the transformed kernel — demoted to a graceful fallback, never
 //! a broken recommendation or a process abort.
 //!
-//! Every test compiles a uniquely-named kernel so an installed [`FaultPlan`]
-//! can never match a launch belonging to another test.
+//! Each test's [`FaultPlan`] travels in its own tuner (`Tuner::faults`),
+//! so it reaches only that tuner's launches.
 
 use std::time::Duration;
 
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
-use grover_runtime::fault::{self, FaultKind, FaultPlan, FaultSite, FaultTarget};
+use grover_runtime::fault::{FaultKind, FaultPlan, FaultSite, FaultTarget, Faults};
 use grover_runtime::{ArgValue, Context, ExecError, Limits, NdRange};
 use grover_tuner::{Choice, FallbackReason, RetryPolicy, TuneError, Tuner, Workload};
 
@@ -53,13 +53,14 @@ fn workload() -> Workload {
 fn race_thread_panic_demotes_to_original() {
     let k = staged_kernel("hrd_panic");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("hrd_panic"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::Panic,
         max_fires: 0, // every attempt, so the retry cannot mask it
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     let d = t.tune(&k, "SNB", &w).unwrap();
     assert_eq!(d.choice, Choice::WithLocalMemory);
     assert!(
@@ -80,13 +81,14 @@ fn race_thread_panic_demotes_to_original() {
 fn corrupted_transformed_output_demotes_to_original() {
     let k = staged_kernel("hrd_corrupt");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("hrd_corrupt"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::CorruptStores,
         max_fires: 0,
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     let d = t.tune(&k, "SNB", &w).unwrap();
     assert_eq!(d.choice, Choice::WithLocalMemory);
     assert!(
@@ -106,13 +108,14 @@ fn corrupted_transformed_output_demotes_to_original() {
 fn transient_panic_survived_by_retry() {
     let k = staged_kernel("hrd_transient");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("hrd_transient"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::Panic,
         max_fires: 1, // first attempt dies, the retry runs clean
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     t.retry = RetryPolicy {
         max_attempts: 2,
         backoff: Duration::ZERO,
@@ -127,13 +130,14 @@ fn transient_panic_survived_by_retry() {
 fn single_panic_demotes_without_retry() {
     let k = staged_kernel("hrd_noretry");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("hrd_noretry"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::Panic,
         max_fires: 1,
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     // A single-fire fault must hit the only transformed measurement, so
     // restrict the race to one candidate sequence — with the full seeded
     // set, the surviving candidates would (correctly) absorb the fault.
@@ -155,13 +159,14 @@ fn single_panic_demotes_without_retry() {
 fn watchdog_deadline_demotes_slow_transformed() {
     let k = staged_kernel("hrd_slow");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("hrd_slow"),
         site: FaultSite::Group(0),
         kind: FaultKind::Sleep(Duration::from_millis(80)),
         max_fires: 0, // every attempt stalls
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     t.limits = Limits {
         deadline: Some(Duration::from_millis(15)),
         ..Limits::default()
@@ -179,13 +184,14 @@ fn watchdog_deadline_demotes_slow_transformed() {
 fn injected_exec_error_demotes_with_reason() {
     let k = staged_kernel("hrd_err");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("hrd_err"),
         site: FaultSite::Group(1),
         kind: FaultKind::Error(ExecError::Unsupported("injected".into())),
         max_fires: 1, // would be masked by a retry if errors were retried
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     // Single-fire fault: pin the race to one transformed candidate (see
     // single_panic_demotes_without_retry).
     t.sequences = Some(vec![
@@ -206,13 +212,14 @@ fn injected_exec_error_demotes_with_reason() {
 fn original_kernel_panic_is_fatal_but_isolated() {
     let k = staged_kernel("hrd_orig");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::original("hrd_orig"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::Panic,
         max_fires: 0,
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     match t.tune(&k, "SNB", &w) {
         Err(TuneError::Panicked(_)) => {}
         other => panic!("expected TuneError::Panicked, got {other:?}"),
@@ -226,13 +233,14 @@ fn original_kernel_panic_is_fatal_but_isolated() {
 fn guard_can_be_disabled() {
     let k = staged_kernel("hrd_noverify");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("hrd_noverify"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::CorruptStores,
         max_fires: 0,
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     t.verify_outputs = false;
     let d = t.tune(&k, "SNB", &w).unwrap();
     assert!(d.fallback.is_none());
@@ -245,13 +253,14 @@ fn guard_can_be_disabled() {
 fn instruction_site_fault_demotes() {
     let k = staged_kernel("hrd_inst");
     let w = workload();
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("hrd_inst"),
         site: FaultSite::Instruction(10),
         kind: FaultKind::Error(ExecError::Internal("injected mid-group".into())),
         max_fires: 0,
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     let d = t.tune(&k, "SNB", &w).unwrap();
     assert_eq!(d.choice, Choice::WithLocalMemory);
     match &d.fallback {
@@ -270,17 +279,16 @@ fn fallback_decisions_are_cached() {
     let k = staged_kernel("hrd_cache");
     let w = workload();
     let mut t = Tuner::new();
-    {
-        let _guard = fault::inject(FaultPlan {
-            target: FaultTarget::transformed("hrd_cache"),
-            site: FaultSite::LaunchStart,
-            kind: FaultKind::Panic,
-            max_fires: 0,
-        });
-        let d = t.tune(&k, "SNB", &w).unwrap();
-        assert!(d.fallback.is_some());
-    }
-    // Plan uninstalled — a fresh tune would now succeed, but the cache wins.
+    t.faults = Faults::new(FaultPlan {
+        target: FaultTarget::transformed("hrd_cache"),
+        site: FaultSite::LaunchStart,
+        kind: FaultKind::Panic,
+        max_fires: 0,
+    });
+    let d = t.tune(&k, "SNB", &w).unwrap();
+    assert!(d.fallback.is_some());
+    // Plan gone — a fresh tune would now succeed, but the cache wins.
+    t.faults = Faults::default();
     let d2 = t.tune(&k, "SNB", &w).unwrap();
     assert!(matches!(d2.fallback, Some(FallbackReason::Panicked(_))));
     assert_eq!(d2.choice, Choice::WithLocalMemory);

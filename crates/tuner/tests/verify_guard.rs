@@ -4,8 +4,8 @@
 //! the guard (a reference failure is fatal, a corrupted winner demotes),
 //! the telemetry, and run-to-run determinism.
 //!
-//! Every test compiles a uniquely-named kernel so an installed
-//! [`FaultPlan`] can never match a launch belonging to another test.
+//! Each test's [`FaultPlan`] travels in its own tuner (`Tuner::faults`),
+//! so it reaches only that tuner's launches.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
 use grover_obs::{MemoryRecorder, Value};
-use grover_runtime::fault::{self, FaultKind, FaultPlan, FaultSite, FaultTarget};
+use grover_runtime::fault::{FaultKind, FaultPlan, FaultSite, FaultTarget, Faults};
 use grover_runtime::{ArgValue, Context, ExecError, NdRange};
 use grover_tuner::{Choice, FallbackReason, TuneError, Tuner, Workload};
 
@@ -71,13 +71,14 @@ fn unverified_tune_runs_only_the_race() {
 #[test]
 fn no_verify_launch_when_every_candidate_failed() {
     let k = staged_kernel("vg_allfail");
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("vg_allfail"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::Error(ExecError::Unsupported("injected".into())),
         max_fires: 0,
     });
     let mut t = Tuner::new();
+    t.faults = faults;
     let d = t.tune(&k, "SNB", &workload()).unwrap();
     assert!(
         matches!(d.fallback, Some(FallbackReason::ExecFailed(_))),
@@ -92,7 +93,7 @@ fn no_verify_launch_when_every_candidate_failed() {
 #[test]
 fn corrupted_winner_still_demotes_with_output_mismatch() {
     let k = staged_kernel("vg_corrupt");
-    let _guard = fault::inject(FaultPlan {
+    let faults = Faults::new(FaultPlan {
         target: FaultTarget::transformed("vg_corrupt"),
         site: FaultSite::LaunchStart,
         kind: FaultKind::CorruptStores,
@@ -100,6 +101,7 @@ fn corrupted_winner_still_demotes_with_output_mismatch() {
     });
     let rec = Arc::new(MemoryRecorder::new());
     let mut t = Tuner::new();
+    t.faults = faults;
     t.recorder = rec.clone();
     let d = t.tune(&k, "SNB", &workload()).unwrap();
     assert_eq!(d.choice, Choice::WithLocalMemory);

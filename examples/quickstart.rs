@@ -9,7 +9,7 @@
 use grover::frontend::{compile, BuildOptions};
 use grover::ir::printer::function_to_string;
 use grover::pass::Grover;
-use grover::runtime::{enqueue, ArgValue, Context, Limits, NdRange, NullSink};
+use grover::runtime::{enqueue, ArgValue, Context, Launch, NdRange, NullSink};
 
 const MT: &str = r#"
 // Paper Fig. 1(a): local memory stages a tile so both the read and the
@@ -58,7 +58,7 @@ fn main() {
             ],
             &NdRange::d2(n as u64, n as u64, 16, 16),
             &mut NullSink,
-            &Limits::default(),
+            &Launch::default(),
         )
         .expect("run");
         ctx.read_f32(bo).to_vec()

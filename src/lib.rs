@@ -66,4 +66,4 @@ pub use grover_tuner as tuner;
 
 pub use grover_core::{Grover, GroverOptions, GroverReport};
 pub use grover_frontend::{compile, BuildOptions};
-pub use grover_runtime::{enqueue, ArgValue, Context, Limits, NdRange};
+pub use grover_runtime::{enqueue, ArgValue, Context, Launch, Limits, NdRange};

@@ -8,7 +8,7 @@ use grover::devsim::{candidate_sequences, Device};
 use grover::ir::Function;
 use grover::kernels::{all_apps, prepare_pair, App, Scale};
 use grover::pass::{apply_sequence, GroverOptions, Sequence};
-use grover::runtime::{enqueue_with_backend, Backend, ExecPolicy, Limits};
+use grover::runtime::{enqueue, Backend, Launch};
 use grover::tuner::{Choice, Tuner, Workload};
 
 const DEVICES: [&str; 3] = ["SNB", "MIC", "Fermi"];
@@ -17,15 +17,16 @@ const DEVICES: [&str; 3] = ["SNB", "MIC", "Fermi"];
 fn oracle_cycles(app: &App, kernel: &Function, device: &str) -> u64 {
     let mut p = (app.prepare)(Scale::Test);
     let mut dev = Device::by_name(device).expect("known device");
-    enqueue_with_backend(
+    enqueue(
         &mut p.ctx,
         kernel,
         &p.args,
         &p.nd,
         &mut dev,
-        &Limits::default(),
-        ExecPolicy::Serial,
-        Backend::Interp,
+        &Launch {
+            backend: Backend::Interp,
+            ..Launch::default()
+        },
     )
     .unwrap_or_else(|e| panic!("{} on {device}: {e}", app.id));
     dev.finish().cycles

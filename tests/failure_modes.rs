@@ -5,7 +5,7 @@
 use grover::frontend::{compile, BuildOptions};
 use grover::ir::Function;
 use grover::pass::{BufferOutcome, Grover};
-use grover::runtime::{enqueue, ArgValue, Context, Limits, NdRange, NullSink};
+use grover::runtime::{enqueue, ArgValue, Context, Launch, NdRange, NullSink};
 
 fn kernel(src: &str) -> Function {
     compile(src, &BuildOptions::new())
@@ -164,7 +164,7 @@ fn declined_kernels_still_execute_correctly() {
         &[ArgValue::Buffer(bi), ArgValue::Buffer(bo)],
         &NdRange::d1(8, 8),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     assert_eq!(ctx.read_f32(bo)[0], 36.0);
@@ -227,7 +227,7 @@ fn mixed_kernel_partial_success() {
         &[ArgValue::Buffer(bi), ArgValue::Buffer(bo)],
         &NdRange::d1(8, 8),
         &mut NullSink,
-        &Limits::default(),
+        &Launch::default(),
     )
     .unwrap();
     let out = ctx.read_f32(bo);

@@ -12,7 +12,7 @@
 use grover::devsim::{Cache, CacheConfig};
 use grover::frontend::{compile, BuildOptions};
 use grover::pass::{solve, Affine, Atom, Grover, Rational};
-use grover::runtime::{enqueue, ArgValue, Context, Limits, NdRange, NullSink};
+use grover::runtime::{enqueue, ArgValue, Context, Launch, NdRange, NullSink};
 
 // The SplitMix64 generator lives in the fuzzing crate (`grover::fuzz::Gen`)
 // so the property tests and the differential fuzzer share one seeded
@@ -249,7 +249,7 @@ fn staging_roundtrip(variant: u8, ox: i64, oy: i64) {
             ],
             &NdRange::d2(n, n, S as u64, S as u64),
             &mut NullSink,
-            &Limits::default(),
+            &Launch::default(),
         )
         .unwrap_or_else(|e| panic!("{e}\n{src}"));
         ctx.read_f32(bo).to_vec()
@@ -323,7 +323,7 @@ fn optimisation_pipeline_preserves_results() {
                 ],
                 &NdRange::d1(32, 8),
                 &mut NullSink,
-                &Limits::default(),
+                &Launch::default(),
             )
             .unwrap();
             ctx.read_f32(bo).to_vec()
@@ -428,7 +428,7 @@ fn text_ir_roundtrip_preserves_semantics() {
                 ],
                 &NdRange::d1(32, 8),
                 &mut NullSink,
-                &Limits::default(),
+                &Launch::default(),
             )
             .unwrap();
             ctx.read_f32(bo).to_vec()
@@ -466,7 +466,7 @@ fn interpreter_is_deterministic() {
                 &[ArgValue::Buffer(ba), ArgValue::Buffer(bb)],
                 &NdRange::d1(32, 8),
                 &mut NullSink,
-                &Limits::default(),
+                &Launch::default(),
             )
             .unwrap();
             outs.push(ctx.read_f32(bb).to_vec());
