@@ -69,9 +69,9 @@ pub struct PerfReport {
 }
 
 /// Whether `name` is one of the six modelled devices. Validates a device
-/// name without building a model, which [`Device::by_name`] does (a MIC
-/// model is five allocations, about 25 KB of cache and prefetcher
-/// headers; each cache allocates its lines on its first probe).
+/// name without building a model, as [`Device::by_name`] would; the
+/// serve front end checks request names with it, so a cache hit runs no
+/// device-model code.
 pub fn is_device(name: &str) -> bool {
     ALL_DEVICES.contains(&name)
 }

@@ -1,8 +1,9 @@
 //! What building a device model and probing its caches allocate. A
-//! model's caches hold no line storage until their first probe, which
-//! allocates one zeroed array of a word per line; per-set vectors, eager
-//! storage or an eager fill would show here as thousands of allocations
-//! or megabytes of zeroed or plain `alloc`.
+//! model's caches hold no storage until their first probe, which allocates
+//! a zeroed index of 4 bytes a set; each set's words are appended to one
+//! growing array the first time a probe reaches the set. Per-set vectors,
+//! eager storage, an eager fill or zeroed line storage would show here as
+//! thousands of allocations or megabytes of zeroed or plain `alloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -121,7 +122,7 @@ fn building_a_model_allocates_no_cache_storage() {
 }
 
 #[test]
-fn the_first_probe_allocates_a_word_per_line() {
+fn a_probe_allocates_only_for_the_sets_it_reaches() {
     let mut geometries: Vec<(String, CacheConfig)> = Vec::new();
     for name in ALL_DEVICES {
         if let Some(p) = cpu_by_name(name) {
@@ -134,19 +135,43 @@ fn the_first_probe_allocates_a_word_per_line() {
         }
     }
     for (name, config) in geometries {
+        let (sets, ways, line) = (config.num_sets(), config.ways, config.line_bytes);
         let mut cache = Cache::new(config);
+        // The first probe zeroes the set index and no line storage: its
+        // set's words are written, not zeroed by the allocator.
         let (_, first) = counted(|| cache.access(0x1234, true));
-        let words = config.num_sets() * config.ways;
         assert_eq!(
             first,
             Counts {
-                allocations: 1,
-                plain_bytes: 0,
-                zeroed_bytes: words * 8,
+                allocations: 2,
+                plain_bytes: ways * 8,
+                zeroed_bytes: sets * 4,
             },
-            "{name}: first probe, {words} lines"
+            "{name}: first probe, {sets} sets"
         );
-        let (_, second) = counted(|| cache.access(0x9876_5400, false));
-        assert_eq!(second, Counts::default(), "{name}: second probe");
+        // Another line of a touched set allocates nothing.
+        let (_, again) = counted(|| cache.access(0x1234 + sets * line, false));
+        assert_eq!(again, Counts::default(), "{name}: a touched set");
+        // Every other set, in scattered order: `ways` words a set, in
+        // geometrically growing steps.
+        let (_, all) = counted(|| {
+            for k in 0..sets {
+                cache.access((k * 7919 % sets) * line, false);
+            }
+        });
+        assert_eq!(cache.touched_sets() as u64, sets, "{name}");
+        let words = sets * ways;
+        let growths = u64::from(u64::BITS - sets.leading_zeros());
+        assert!(
+            all.allocations <= growths && all.zeroed_bytes == 0,
+            "{name}: {all:?} touching {sets} sets"
+        );
+        assert!(
+            all.plain_bytes <= 4 * words * 8,
+            "{name}: {} bytes for {words} words",
+            all.plain_bytes
+        );
+        let (_, touched) = counted(|| cache.access(0x9876_5400, true));
+        assert_eq!(touched, Counts::default(), "{name}: a full cache");
     }
 }

@@ -24,9 +24,11 @@
 //! fingerprint are coalesced through a [`Singleflight`] table: one leader
 //! races, followers wait for its published outcome, so N identical misses
 //! cost exactly one race. Misses are appended to the persistent journal
-//! *before* the response is sent — a decision the client saw is always
-//! durable; if the append fails the client gets a `persist_failed` 500
-//! and nothing is cached.
+//! *before* the response is sent, so a decision the client saw survives
+//! a crash of the server process (the append is flushed to the operating
+//! system, not fsynced; only compaction fsyncs, so power loss can drop
+//! it); if the append fails the client gets a `persist_failed` 500 and
+//! nothing is cached.
 //!
 //! ## Degradation
 //!
@@ -63,7 +65,6 @@ use std::time::{Duration, Instant};
 use grover_core::{
     pass_fingerprint, tune_key_with_sequences, Grover, GroverOptions, GroverReport, Sequence,
 };
-use grover_devsim::Device;
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::printer::function_to_string;
 use grover_ir::{Function, Scalar, Type};
@@ -996,7 +997,7 @@ fn parse_tune_params(shared: &Shared, body: &Json, span: SpanId) -> Result<TuneP
     let Some(device) = body.str_of("device") else {
         return Err(bad_request("missing required field `device`"));
     };
-    if Device::by_name(device).is_none() {
+    if !grover_devsim::is_device(device) {
         return Err(bad_request(format!(
             "unknown device `{device}` (known: {})",
             grover_devsim::ALL_DEVICES.join(", ")
@@ -1402,7 +1403,8 @@ fn handle_predict(
 
 /// The leader's miss path: compile, transform, race, persist, cache.
 /// Returns the response plus the decision record when one was produced
-/// *and made durable* — that record is what followers are served.
+/// *and appended to the journal* (flushed, so it survives a process
+/// crash but not power loss) — that record is what followers are served.
 #[allow(clippy::too_many_arguments)]
 fn run_miss(
     shared: &Shared,
@@ -1530,9 +1532,11 @@ fn run_miss(
     let features = FeatureVector::extract(&kernel, g3, l3);
     let record = DecisionRecord::from_decision(fingerprint, &shared.epoch, key_kernel, &decision)
         .with_features(&schema_hash(), features.values());
-    // Persist before publishing: a decision a client saw is durable. A
-    // failed append means the client gets a 500 and nothing is cached —
-    // better a retryable error than an acknowledged-then-lost decision.
+    // Persist before publishing: a decision a client saw is in the
+    // journal and survives a crash of this process (flushed, not fsynced:
+    // power loss can still drop it). A failed append means the client
+    // gets a 500 and nothing is cached — better a retryable error than an
+    // acknowledged-then-lost decision.
     let persisted = {
         let mut store = shared.store.lock().expect("store poisoned");
         let r = store.append(&record);

@@ -2,9 +2,10 @@
 //! (paper §VI-D limitations) must be declined *cleanly* — the kernel is
 //! left untouched and still runs correctly. Grover must never miscompile.
 
+use grover::devsim::{candidate_sequences, ALL_DEVICES};
 use grover::frontend::{compile, BuildOptions};
 use grover::ir::Function;
-use grover::pass::{BufferOutcome, Grover};
+use grover::pass::{apply_sequence, BufferOutcome, Grover, GroverOptions, Sequence};
 use grover::runtime::{enqueue, ArgValue, Context, Launch, NdRange, NullSink};
 
 fn kernel(src: &str) -> Function {
@@ -14,7 +15,9 @@ fn kernel(src: &str) -> Function {
         .remove(0)
 }
 
-/// Run Grover, assert it declined, and assert the kernel is unchanged.
+/// Run Grover, assert it declined, and assert the kernel is unchanged —
+/// under the default pipeline and under every seeded sequence of every
+/// device, since the tuner races each of those.
 fn assert_declined(src: &str) -> Function {
     let mut f = kernel(src);
     let before = grover::ir::printer::function_to_string(&f);
@@ -26,6 +29,15 @@ fn assert_declined(src: &str) -> Function {
     );
     let after = grover::ir::printer::function_to_string(&f);
     assert_eq!(before, after, "declined kernel must be untouched");
+    for device in ALL_DEVICES {
+        for spec in candidate_sequences(device) {
+            let seq = Sequence::parse(spec).expect("seeded sequences parse");
+            let mut g = kernel(src);
+            apply_sequence(&mut g, &seq, &GroverOptions::default());
+            let after = grover::ir::printer::function_to_string(&g);
+            assert_eq!(before, after, "{device} `{spec}` changed a declined kernel");
+        }
+    }
     f
 }
 
